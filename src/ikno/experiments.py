@@ -12,8 +12,6 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .data import Dataset, load_dataset
 from .errors import EmptyDatasetError
 from .kernels import LinearWindowKernel, PointCloud
@@ -199,17 +197,18 @@ def run_training(ds: Dataset, spec: RunSpec, out_dir=None, resume: bool = False)
         out.mkdir(parents=True, exist_ok=True)
 
     done = start_step
+    stopped_early = False
     while done < spec.steps:
         chunk = min(spec.checkpoint_every, spec.steps - done) if ckpt_dir else spec.steps - done
-        stop_at = done + chunk
         pv, state, hist = train_model(
             spec.model, pv, train, train_cfg,
-            state=state, start_step=done, stop_step=stop_at,
+            state=state, start_step=done, stop_step=done + chunk,
         )
-        done = stop_at
+        done += len(hist)
         if ckpt_dir:
             save_checkpoint(ckpt_dir, spec, pv, state, done, cond_stats, tgt_stats)
-        if hist and not np.isfinite(hist[-1]["loss"]):
+        if len(hist) < chunk:
+            stopped_early = True
             break
 
     final = evaluate(spec.model, pv, test)
@@ -217,6 +216,8 @@ def run_training(ds: Dataset, spec: RunSpec, out_dir=None, resume: bool = False)
         "report": "train",
         "variant": spec.model.variant,
         "steps": spec.steps,
+        "steps_done": done,
+        "stopped_early": stopped_early,
         "seed": spec.seed,
         "num_train": len(train),
         "num_test": len(test),

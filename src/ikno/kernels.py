@@ -202,7 +202,8 @@ def cross_kernel(axes, rows, cols) -> np.ndarray:
     """Product-kernel matrix between two point sets.
 
     Grid arguments are enumerated in the pinned lexicographic order, so the
-    result matches K_GP / K_QG roles directly.
+    result matches K_GP / K_QG roles directly. Evaluated entry by entry, it
+    is the dense oracle for the model's Khatri-Rao cross kernels.
     """
     r = _as_points(rows)
     c = _as_points(cols)

@@ -37,7 +37,7 @@ from .kernels import (
     window_cross,
     window_gram,
 )
-from .ops_ad import truncated_ad, tp_resolvent_ad, vanilla_resolvent_ad
+from .ops_ad import khatri_rao_ad, truncated_ad, tp_resolvent_ad, vanilla_resolvent_ad
 from .rng import Rng64
 from .tensor_linalg import dense_inverse, kron_materialize
 
@@ -250,7 +250,7 @@ def _grid_for(dim: int, grid_l: int) -> LatentGrid:
     return grid_linspace(dim, grid_l)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)  # dense M x M: 128 MB at M = 4096; study configs run one at a time
 def _fixed_operator(config: ModelConfig) -> np.ndarray:
     """Dense latent-grid operator for fixed-window configs (study scale)."""
     grid = _grid_for(config.dim, config.grid_l)
@@ -318,13 +318,18 @@ class _Graph:
             self._gram_cache[b] = grams
         return self._gram_cache[b]
 
-    def cross(self, b: int, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-        out = None
-        for j in range(self.config.dim):
-            dx = rows[:, j][:, None] - cols[:, j][None, :]
-            f = self.axis_factors(b, dx, j)
-            out = f if out is None else out * f
-        return out
+    def cross(self, b: int, pts: np.ndarray, transpose: bool = False) -> Tensor:
+        """K_GP (M, n) between the latent grid and ``pts``, or K_QG = K_GP^T.
+
+        Built from the N_j x n axis factors; the kernel depends on the
+        coordinate difference only through its square and magnitude, so the
+        grid-minus-point factors serve both orientations exactly.
+        """
+        factors = [
+            self.axis_factors(b, axis_pts[:, None] - pts[:, j][None, :], j)
+            for j, axis_pts in enumerate(self.grid.per_axis_points)
+        ]
+        return khatri_rao_ad(factors, transpose)
 
     def branch_operator(self, b: int, x: Tensor) -> Tensor:
         """Apply the branch's latent-grid operator to an (M, h) tensor."""
@@ -361,15 +366,14 @@ class _Graph:
 
     def encode(self, v_p: Tensor, cloud: PointCloud) -> Tensor:
         cfg = self.config
-        gp = self.grid.points()
         outs = []
         if cfg.fixed_window is not None:
-            kgp = Tensor(window_cross(cfg.fixed_window, gp, cloud.coords))
+            kgp = Tensor(window_cross(cfg.fixed_window, self.grid.points(), cloud.coords))
             op = Tensor(_fixed_operator(cfg))
             outs.append(op @ (kgp @ v_p))
         else:
             for b in range(cfg.branches):
-                kgp = self.cross(b, gp, cloud.coords)
+                kgp = self.cross(b, cloud.coords)
                 outs.append(self.branch_operator(b, kgp @ v_p))
         fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
         return fused @ self.seg("enc_fusion.w") + self.seg("enc_fusion.b")
@@ -392,16 +396,15 @@ class _Graph:
 
     def decode(self, v_gp: Tensor, queries: PointCloud) -> Tensor:
         cfg = self.config
-        gp = self.grid.points()
         outs = []
         if cfg.fixed_window is not None:
             op = Tensor(_fixed_operator(cfg))
-            kqg = Tensor(window_cross(cfg.fixed_window, queries.coords, gp))
+            kqg = Tensor(window_cross(cfg.fixed_window, queries.coords, self.grid.points()))
             outs.append(kqg @ (op @ v_gp))
         else:
             for b in range(cfg.branches):
                 w = self.branch_operator(b, v_gp)
-                kqg = self.cross(b, queries.coords, gp)
+                kqg = self.cross(b, queries.coords, transpose=True)
                 outs.append(kqg @ w)
         fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
         fused = fused @ self.seg("dec_fusion.w") + self.seg("dec_fusion.b")

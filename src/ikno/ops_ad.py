@@ -4,7 +4,10 @@ The forward passes reuse the numeric routines from :mod:`ikno.resolvent`;
 the backward passes are hand-written vector-Jacobian products. For the
 resolvent R = (I - alpha*K)^-1 the identity dR = R d(alpha*K) R lets every
 gradient flow through one extra fast-path application instead of through
-the eigendecomposition itself.
+the eigendecomposition itself. Grid-cloud cross kernels are Khatri-Rao
+(column-wise Kronecker) products of per-axis factors, so their gradient
+contracts the upstream gradient with the other axes' factors and never
+differentiates through an M x n array of exponentials.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .resolvent import (
 from .tensor_linalg import dense_inverse, kron_apply, mode_apply
 
 __all__ = [
+    "khatri_rao_ad",
     "mode_apply_ad",
     "inverse_ad",
     "vanilla_resolvent_ad",
@@ -31,6 +35,54 @@ __all__ = [
 def _unfold(t: np.ndarray, axis: int) -> np.ndarray:
     """Move tensor axis to the front and flatten the rest (channels last)."""
     return np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1)
+
+
+def _spread(a: np.ndarray, axis: int, ndim: int, transpose: bool) -> np.ndarray:
+    """View an (N_j, n) factor as a broadcastable slice of the (N_1, ..., N_d, n)
+    product, or of its (n, N_1, ..., N_d) transpose."""
+    shape = [1] * ndim
+    shape[axis] = a.shape[0]
+    if transpose:
+        return np.ascontiguousarray(a.T).reshape(a.shape[1], *shape)
+    return a.reshape(*shape, a.shape[1])
+
+
+def khatri_rao_ad(factors: list[Tensor], transpose: bool = False) -> Tensor:
+    """Column-wise Kronecker (Khatri-Rao) product of per-axis factors.
+
+    Factor j is (N_j, n). The result K is (M, n) with M = N_1 ... N_d and
+    rows in the product grid's order (axis 1 slowest), so
+    K[(i_1, ..., i_d), p] = F_1[i_1, p] * ... * F_d[i_d, p], multiplied in
+    axis order; ``transpose`` returns the C-contiguous (n, M) transpose.
+    The backward pass reshapes the upstream gradient to the grid, multiplies
+    it by the other axes' factors and sums over their axes, giving N_j x n.
+    """
+    mats = [f.data for f in factors]
+    d = len(mats)
+    sizes = tuple(a.shape[0] for a in mats)
+    n = mats[0].shape[1]
+    m = int(np.prod(sizes))
+    spread = [_spread(a, j, d, transpose) for j, a in enumerate(mats)]
+    out = spread[0]
+    for f in spread[1:]:
+        out = out * f
+    # explicit shapes: reshape(-1, n) is ambiguous for an empty cloud
+    out = np.ascontiguousarray(out.reshape((n, m) if transpose else (m, n)))
+    grid_axes = [1 + j if transpose else j for j in range(d)]
+
+    def backward(g):
+        gt = g.reshape((n, *sizes) if transpose else (*sizes, n))
+        grads = []
+        for j in range(d):
+            t = gt
+            for l in range(d):
+                if l != j:
+                    t = t * spread[l]
+            gj = t.sum(axis=tuple(a for l, a in enumerate(grid_axes) if l != j))
+            grads.append(gj.T if transpose else gj)
+        return grads
+
+    return custom_op(list(factors), out, backward)
 
 
 def mode_apply_ad(x: Tensor, a: Tensor, axis: int) -> Tensor:

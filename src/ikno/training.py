@@ -9,6 +9,7 @@ summed per-sample relative-L2 loss.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -363,13 +364,14 @@ def train_model(
     """Optimize ``pv`` in place over ``batch_pool`` (list of samples).
 
     Returns (pv, state, history). Aborts on non-finite loss, keeping the
-    last good parameters. Kernel alphas are clamped to the stable negative
-    regime after every step. Passing a saved optimizer ``state`` plus the
-    matching ``start_step`` resumes a run; the deterministic batch order is
-    replayed, so a resumed run is bit-identical to an uninterrupted one.
+    last good parameters; the failing step is not in the history, so a
+    history shorter than the requested steps means the run stopped early.
+    Kernel alphas are clamped to the stable negative regime after every
+    step. Passing a saved optimizer ``state`` plus the matching
+    ``start_step`` resumes a run; the deterministic batch order is replayed,
+    so a resumed run is bit-identical to an uninterrupted one.
     """
-    opt_cfg = train_cfg.optimizer
-    opt_cfg.total_steps = train_cfg.steps
+    opt_cfg = dataclasses.replace(train_cfg.optimizer, total_steps=train_cfg.steps)
     if state is None:
         state = OptimizerState.fresh(pv.size)
     a_idx = alpha_indices(config, pv)
@@ -418,9 +420,10 @@ def evaluate(config: ModelConfig, pv: ParamVector, samples) -> dict:
     for cloud, queries, target in samples:
         preds.append(forward(config, pv, cloud, queries))
         truths.append(np.asarray(target, dtype=np.float64))
+    mse, mae = mse_mae(preds, truths)
     return {
         "median_rel_l1_pct": median_rel_l1(preds, truths),
-        "mse": mse_mae(preds, truths)[0],
-        "mae": mse_mae(preds, truths)[1],
+        "mse": mse,
+        "mae": mae,
         "num_samples": len(preds),
     }

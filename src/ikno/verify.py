@@ -291,23 +291,30 @@ def suite_positive_definite(cases: int = 200, seed: int = 0) -> CheckResult:
     )
 
 
-def suite_gradient(seed: int = 0, variants=("tp", "vanilla", "truncated")) -> CheckResult:
-    """Analytic gradient vs. central finite differences on a toy model."""
+def suite_gradient(
+    seed: int = 0, cases=(("tp", 2), ("vanilla", 2), ("truncated", 2), ("vanilla", 3))
+) -> CheckResult:
+    """Analytic gradient vs. central finite differences on toy models.
+
+    ``cases`` are (variant, dim) pairs. The d=3 case covers the Khatri-Rao
+    cross-kernel VJP where each axis meets a product of two other factors;
+    the cross kernel is the same for every variant.
+    """
     rng = Rng64(seed ^ 0x6AD)
     worst = 0.0
     detail = ""
-    for variant in variants:
+    for variant, dim in cases:
         cfg = ModelConfig(
-            dim=2, grid_l=4, hidden=8, branches=2, in_channels=1,
+            dim=dim, grid_l=4, hidden=8, branches=2, in_channels=1,
             processor="identity", variant=variant,
         )
         pv = init_params(cfg, seed)
         pv.values += rng.uniform_array(pv.size, -0.05, 0.05)
         cloud = PointCloud(
-            rng.uniform_array((6, 2), -1.0, 1.0),
+            rng.uniform_array((6, dim), -1.0, 1.0),
             channels=rng.uniform_array((6, 1), -1.0, 1.0),
         )
-        queries = PointCloud(rng.uniform_array((5, 2), -1.0, 1.0))
+        queries = PointCloud(rng.uniform_array((5, dim), -1.0, 1.0))
         target = rng.uniform_array((5, 1), -1.0, 1.0)
         batch = [(cloud, queries, target)]
         g = grad_analytic(cfg, pv, batch)
@@ -323,7 +330,7 @@ def suite_gradient(seed: int = 0, variants=("tp", "vanilla", "truncated")) -> Ch
         dev = float(rel.max()) if mask.any() else 0.0
         if dev > worst:
             worst = dev
-            detail = f"variant={variant} params={pv.size}"
+            detail = f"variant={variant} dim={dim} params={pv.size}"
     return CheckResult(
         name="analytic-vs-fd-gradient",
         passed=worst <= 1e-4,

@@ -136,6 +136,8 @@ class TestTrainEval:
         assert main(argv) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         validate_report(metrics)
+        assert metrics["steps_done"] == 4
+        assert metrics["stopped_early"] is False
         log_lines = (out / "train_log.jsonl").read_text().splitlines()
         assert len(log_lines) == 4
 

@@ -5,6 +5,7 @@ from ikno.errors import ChannelMismatchError, UnsupportedLevelsError
 from ikno.kernels import PointCloud, cross_kernel
 from ikno.model import (
     ModelConfig,
+    _np_graph,
     alpha_indices,
     decode_kernel_params,
     encode,
@@ -174,6 +175,29 @@ class TestEncode:
         fused = np.concatenate(outs, axis=-1)
         ref = fused @ pv.get("enc_fusion.w") + pv.get("enc_fusion.b")
         assert np.abs(encode(cfg, pv, v_p, cloud) - ref).max() <= 1e-9
+
+
+class TestCrossKernel:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_khatri_rao_matches_dense_oracle(self, dim, n):
+        cfg = ModelConfig(dim=dim, grid_l=4, hidden=4, branches=2)
+        pv = init_params(cfg, 18)
+        rng = np.random.default_rng(19)
+        sl, _ = pv.segments["kernel"]
+        pv.values[sl] = rng.uniform(-2, 2, sl.stop - sl.start)  # scales of either sign
+        pts = rng.uniform(-1, 1, (n, dim))
+        grid = grid_linspace(dim, 4)
+        graph = _np_graph(cfg, pv)
+        for b, br in enumerate(decode_kernel_params(cfg, pv).branches):
+            kgp = graph.cross(b, pts).data
+            kqg = graph.cross(b, pts, transpose=True).data
+            ref = cross_kernel(br.axis_params, grid, pts)
+            assert kgp.shape == (grid.num_points, n)
+            assert kqg.shape == (n, grid.num_points)
+            assert np.abs(kgp - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=1.0)
+            ref_t = cross_kernel(br.axis_params, pts, grid)
+            assert np.abs(kqg - ref_t).max(initial=0.0) <= 1e-14 * np.abs(ref_t).max(initial=1.0)
 
 
 class TestProcess:

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ikno.training
+from ikno.data import CSinesSpec, gen_csines
 from ikno.errors import (
     NonFiniteGradientError,
+    NonFiniteLossError,
     NonMonotoneTimesError,
     NonpositiveTauError,
 )
+from ikno.experiments import RunSpec, load_checkpoint, run_training
 from ikno.kernels import PointCloud
 from ikno.model import ModelConfig, init_params
+from ikno.reports import validate_report
 from ikno.training import (
     OptimizerConfig,
     OptimizerState,
@@ -338,3 +343,40 @@ class TestTrainLoop:
         )
         pv_b, _, _ = train_model(cfg, pv_a, pool, tc, state=state, start_step=7)
         assert np.array_equal(pv_full.values, pv_b.values)
+
+    def test_caller_optimizer_config_unchanged(self):
+        cfg, pool = self._tiny_problem()
+        opt = OptimizerConfig(total_steps=1000)
+        tc = TrainConfig(steps=3, batch_size=2, seed=7, optimizer=opt)
+        _, _, hist = train_model(cfg, init_params(cfg, 5), pool, tc)
+        assert opt == OptimizerConfig(total_steps=1000)
+        # the schedule still spans the run's own step budget
+        assert hist[-1]["lr"] == ikno.training._cosine_lr(OptimizerConfig(total_steps=3), 2)
+
+
+class TestRunTraining:
+    def test_nonfinite_loss_stops_and_checkpoints_applied_steps(self, tmp_path, monkeypatch):
+        ds = gen_csines(CSinesSpec(num_samples=8, num_points=8, num_queries=8, seed=0))
+        spec = RunSpec(
+            model=ModelConfig(dim=2, grid_l=4, hidden=4, branches=1),
+            steps=6, batch_size=2, test_count=2, checkpoint_every=2,
+        )
+        real = ikno.training.loss_and_grad
+        calls = {"n": 0}
+
+        def fails_at_step_2(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise NonFiniteLossError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ikno.training, "loss_and_grad", fails_at_step_2)
+        with pytest.warns(UserWarning, match="non-finite loss at step 2"):
+            report = run_training(ds, spec, out_dir=tmp_path)
+        validate_report(report)
+        assert report["steps_done"] == 2
+        assert report["stopped_early"] is True
+        _, _, state, step_done, _, _ = load_checkpoint(tmp_path / "checkpoint")
+        assert step_done == 2
+        assert state.step == 2
+        assert len((tmp_path / "train_log.jsonl").read_text().splitlines()) == 2
