@@ -55,15 +55,7 @@ class ChannelMismatchError(IknoError):
     pass
 
 
-class UnsupportedLevelsError(IknoError):
-    pass
-
-
 class EmptyDatasetError(IknoError):
-    pass
-
-
-class ZeroTargetError(IknoError):
     pass
 
 

@@ -106,6 +106,9 @@ def _model_config_to_dict(cfg: ModelConfig) -> dict:
 
 def _model_config_from_dict(d: dict) -> ModelConfig:
     d = dict(d)
+    # older checkpoints store nerf_levels = 1, the only encoding level there ever was
+    if d.get("nerf_levels") == 1:
+        del d["nerf_levels"]
     if d.get("fixed_window") is not None:
         d["fixed_window"] = LinearWindowKernel(**d["fixed_window"])
     return ModelConfig(**d)

@@ -32,7 +32,6 @@ __all__ = [
     "linear_window_eval",
     "axis_gram",
     "cross_kernel",
-    "window_gram",
     "window_cross",
     "window_axis_gram",
     "grid_linspace",
@@ -215,14 +214,6 @@ def cross_kernel(axes, rows, cols) -> np.ndarray:
     for j, p in enumerate(axes):
         out *= axis_kernel_matrix(p, r[:, j][:, None] - c[:, j][None, :])
     return out
-
-
-def window_gram(k: LinearWindowKernel, points: np.ndarray) -> np.ndarray:
-    """Dense Gram of the Euclidean linear-window kernel over a point set."""
-    pts = _as_points(points)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    return k.scale * np.maximum(1.0 - dist / k.radius, 0.0)
 
 
 def window_cross(k: LinearWindowKernel, rows, cols) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .autodiff import Tensor, concat
-from .errors import ChannelMismatchError, UnsupportedLevelsError
+from .errors import ChannelMismatchError
 from .kernels import (
     AxisKernelParams,
     KernelBranch,
@@ -35,9 +35,10 @@ from .kernels import (
     grid_linspace,
     window_axis_gram,
     window_cross,
-    window_gram,
 )
+from . import ops_ad
 from .ops_ad import khatri_rao_ad, truncated_ad, tp_resolvent_ad, vanilla_resolvent_ad
+from .resolvent import ResolventTP, ResolventVanilla
 from .rng import Rng64
 from .tensor_linalg import dense_inverse, kron_materialize
 
@@ -52,7 +53,6 @@ __all__ = [
     "process",
     "decode",
     "forward",
-    "forward_graph",
     "decode_kernel_params",
     "alpha_indices",
     "gelu",
@@ -70,15 +70,14 @@ class ModelConfig:
     branches: int = 3
     in_channels: int = 1
     out_channels: int = 1
-    nerf_levels: int = 1
     processor: str = "identity"  # identity | mlp | tiny_attention
     variant: str = "tp"  # vanilla | tp | truncated
     truncation_order: int = 1
     fixed_window: LinearWindowKernel | None = None
 
     def __post_init__(self):
-        if self.branches < 1 or self.hidden < 1 or self.nerf_levels < 1:
-            raise ValueError("branches, hidden, nerf_levels must be >= 1")
+        if self.branches < 1 or self.hidden < 1:
+            raise ValueError("branches and hidden must be >= 1")
         if self.processor not in ("identity", "mlp", "tiny_attention"):
             raise ValueError(f"unknown processor {self.processor!r}")
         if self.variant not in ("vanilla", "tp", "truncated"):
@@ -229,10 +228,8 @@ def alpha_indices(config: ModelConfig, pv: ParamVector) -> np.ndarray:
 # -- stages ------------------------------------------------------------------
 
 
-def positional_encode(x, levels: int = 1) -> np.ndarray:
+def positional_encode(x) -> np.ndarray:
     """(x, cos x, sin x) per coordinate; layout: all coords, all cos, all sin."""
-    if levels != 1:
-        raise UnsupportedLevelsError(f"only 1 frequency level supported, got {levels}")
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     arr = np.atleast_2d(arr)
@@ -265,7 +262,7 @@ def _fixed_operator(config: ModelConfig) -> np.ndarray:
             for pts in grid.per_axis_points
         ]
         return kron_materialize(axis_invs)
-    kgg = window_gram(win, grid.points())
+    kgg = window_cross(win, grid.points(), grid.points())
     if config.variant == "vanilla":
         return dense_inverse(np.eye(m) - alpha * kgg)
     op = np.eye(m)
@@ -275,7 +272,8 @@ def _fixed_operator(config: ModelConfig) -> np.ndarray:
 
 
 class _Graph:
-    """One forward pass over AD tensors; parameter slices are cached."""
+    """Forward passes over AD tensors for one parameter vector; parameter
+    slices, Grams and resolvents are cached, so a batch's samples share them."""
 
     def __init__(self, config: ModelConfig, params_t: Tensor, pv: ParamVector):
         self.config = config
@@ -284,6 +282,7 @@ class _Graph:
         self.grid = _grid_for(config.dim, config.grid_l)
         self._seg_cache: dict[str, Tensor] = {}
         self._gram_cache: dict[int, list[Tensor]] = {}
+        self._resolvent_cache: dict[int, ResolventTP | ResolventVanilla] = {}
 
     def seg(self, name: str) -> Tensor:
         if name not in self._seg_cache:
@@ -339,12 +338,15 @@ class _Graph:
         xt = x.reshape(*sizes, h)
         grams = self.axis_grams(b)
         alpha = self.branch_alpha(b)
-        if cfg.variant == "vanilla":
-            yt = vanilla_resolvent_ad(xt, grams, alpha)
-        elif cfg.variant == "tp":
-            yt = tp_resolvent_ad(xt, grams, alpha)
-        else:
+        if cfg.variant == "truncated":
             yt = truncated_ad(xt, grams, alpha, cfg.truncation_order)
+        else:
+            tp = cfg.variant == "tp"
+            if b not in self._resolvent_cache:
+                build = ops_ad.build_tp if tp else ops_ad.build_vanilla
+                self._resolvent_cache[b] = build([g.data for g in grams], float(alpha.data))
+            apply_ad = tp_resolvent_ad if tp else vanilla_resolvent_ad
+            yt = apply_ad(self._resolvent_cache[b], xt, grams, alpha)
         return yt.reshape(self.grid.num_points, h)
 
     # -- pipeline stages --
@@ -356,9 +358,7 @@ class _Graph:
             raise ChannelMismatchError(
                 f"cloud has {n_ch} condition channels, config expects {cfg.in_channels}"
             )
-        psi = np.concatenate(
-            [cloud.coords, np.cos(cloud.coords), np.sin(cloud.coords)], axis=1
-        )
+        psi = positional_encode(cloud.coords)
         feats = psi if cloud.channels is None else np.concatenate([psi, cloud.channels], axis=1)
         x = Tensor(feats)
         hmid = gelu(x @ self.seg("tokenizer.w0") + self.seg("tokenizer.b0"))
@@ -416,10 +416,6 @@ class _Graph:
         v_g = self.encode(v_p, cloud)
         v_gp = self.process(v_g)
         return self.decode(v_gp, queries)
-
-
-def forward_graph(config: ModelConfig, params_t: Tensor, pv: ParamVector, cloud: PointCloud, queries: PointCloud) -> Tensor:
-    return _Graph(config, params_t, pv).forward(cloud, queries)
 
 
 def _np_graph(config: ModelConfig, pv: ParamVector) -> _Graph:

@@ -4,10 +4,13 @@ The forward passes reuse the numeric routines from :mod:`ikno.resolvent`;
 the backward passes are hand-written vector-Jacobian products. For the
 resolvent R = (I - alpha*K)^-1 the identity dR = R d(alpha*K) R lets every
 gradient flow through one extra fast-path application instead of through
-the eigendecomposition itself. Grid-cloud cross kernels are Khatri-Rao
-(column-wise Kronecker) products of per-axis factors, so their gradient
-contracts the upstream gradient with the other axes' factors and never
-differentiates through an M x n array of exponentials.
+the eigendecomposition itself, and one prebuilt operator per branch serves
+every forward and backward application.
+
+Grid-cloud cross kernels are Khatri-Rao (column-wise Kronecker) products of
+per-axis factors, so their gradient contracts the upstream gradient with the
+other axes' factors and never differentiates through an M x n array of
+exponentials.
 """
 
 from __future__ import annotations
@@ -16,16 +19,20 @@ import numpy as np
 
 from .autodiff import Tensor, custom_op
 from .resolvent import (
+    ResolventTP,
     ResolventVanilla,
+    apply_tp,
     apply_vanilla,
+    build_tp,
     build_vanilla,
 )
-from .tensor_linalg import dense_inverse, kron_apply, mode_apply
+from .tensor_linalg import kron_apply, mode_apply
 
 __all__ = [
+    "build_tp",  # build the operators that the resolvent ops take
+    "build_vanilla",
     "khatri_rao_ad",
     "mode_apply_ad",
-    "inverse_ad",
     "vanilla_resolvent_ad",
     "tp_resolvent_ad",
     "truncated_ad",
@@ -96,32 +103,24 @@ def mode_apply_ad(x: Tensor, a: Tensor, axis: int) -> Tensor:
     return custom_op([x, a], out, backward)
 
 
-def inverse_ad(a: Tensor) -> Tensor:
-    inv = dense_inverse(a.data)
-
-    def backward(g):
-        return [-inv.T @ g @ inv.T]
-
-    return custom_op([a], inv, backward)
-
-
-def vanilla_resolvent_ad(x: Tensor, grams: list[Tensor], alpha: Tensor) -> Tensor:
-    """(I_M - alpha * K_1 (x) ... (x) K_d)^-1 applied to x, fast path."""
+def vanilla_resolvent_ad(
+    r: ResolventVanilla, x: Tensor, grams: list[Tensor], alpha: Tensor
+) -> Tensor:
+    """(I_M - alpha * K_1 (x) ... (x) K_d)^-1 applied to x through ``r``, the
+    operator built from the values of ``grams`` and ``alpha``."""
     gram_data = [g.data for g in grams]
-    r: ResolventVanilla = build_vanilla(gram_data, float(alpha.data))
     y = apply_vanilla(r, x.data)
     d = len(gram_data)
 
     def backward(g):
         w = apply_vanilla(r, g)  # R is symmetric
         grads = [w]
-        a = float(alpha.data)
         for j in range(d):
             yp = y
             for l in range(d):
                 if l != j:
                     yp = mode_apply(yp, l, gram_data[l])
-            grads.append(a * (_unfold(w, j) @ _unfold(yp, j).T))
+            grads.append(r.alpha * (_unfold(w, j) @ _unfold(yp, j).T))
         ky = kron_apply(gram_data, y)
         grads.append(np.array(np.sum(w * ky)))
         return grads
@@ -129,18 +128,28 @@ def vanilla_resolvent_ad(x: Tensor, grams: list[Tensor], alpha: Tensor) -> Tenso
     return custom_op([x, *grams, alpha], y, backward)
 
 
-def tp_resolvent_ad(x: Tensor, grams: list[Tensor], alpha: Tensor) -> Tensor:
-    """Tensor product of per-axis resolvents applied to x.
+def tp_resolvent_ad(r: ResolventTP, x: Tensor, grams: list[Tensor], alpha: Tensor) -> Tensor:
+    """Tensor product of per-axis resolvents R_j = (I_N - alpha * K_j)^-1
+    applied to x through ``r``, the operator built from the values of
+    ``grams`` and ``alpha``.
 
-    Composed from differentiable primitives: each factor is an explicit
-    inverse of (I_N - alpha * K_j), applied by successive mode products.
+    dy sums R_j d(alpha*K_j) applied to y along each axis j, so with
+    G_j = unfold_j(R_j applied to g along axis j) unfold_j(y)^T, K_j
+    receives alpha * G_j and alpha receives sum_j <G_j, K_j>.
     """
-    out = x
-    for j, k in enumerate(grams):
-        n = k.data.shape[0]
-        factor = inverse_ad(Tensor(np.eye(n)) - alpha * k)
-        out = mode_apply_ad(out, factor, j)
-    return out
+    y = apply_tp(r, x.data)
+
+    def backward(g):
+        grads = [apply_tp(r, g)]  # R is symmetric
+        g_alpha = 0.0
+        for j, (k, inv) in enumerate(zip(grams, r.axis_inverses)):
+            gj = _unfold(mode_apply(g, j, inv), j) @ _unfold(y, j).T
+            grads.append(r.alpha * gj)
+            g_alpha += np.sum(gj * k.data)
+        grads.append(np.array(g_alpha))
+        return grads
+
+    return custom_op([x, *grams, alpha], y, backward)
 
 
 def truncated_ad(x: Tensor, grams: list[Tensor], alpha: Tensor, order: int) -> Tensor:

@@ -77,7 +77,8 @@ class ResolventTP:
 
     @property
     def axis_inverses(self) -> tuple[np.ndarray, ...]:
-        """Dense per-axis factors (I - alpha*K_j)^-1, for oracles and export."""
+        """Dense per-axis factors (I - alpha*K_j)^-1, for the tp gradient,
+        oracles and export."""
         return tuple(
             (e.eigenvectors * w) @ e.eigenvectors.T
             for e, w in zip(self.axis_eigs, self.axis_weights)

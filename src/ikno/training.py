@@ -27,7 +27,7 @@ from .errors import (
     NonpositiveTauError,
 )
 from .kernels import PointCloud
-from .model import ModelConfig, ParamVector, alpha_indices, forward, forward_graph
+from .model import ModelConfig, ParamVector, _Graph, alpha_indices, forward
 
 __all__ = [
     "NormStats",
@@ -155,20 +155,26 @@ def all2all_pairs(times) -> list[tuple[int, int, float, float]]:
 # -- gradients ---------------------------------------------------------------
 
 
-def grad_fd(loss_closure, params: np.ndarray, probe_eps: float = 1e-6) -> np.ndarray:
-    """Central finite differences, eps scaled per coordinate."""
+def grad_fd(loss_closure, params: np.ndarray, probe_eps: float = 1e-5) -> np.ndarray:
+    """Fourth-order central differences, eps scaled per coordinate.
+
+    (-f(x+2h) + 8f(x+h) - 8f(x-h) + f(x-2h)) / 12h has O(h^4) truncation
+    error, so the step can be large enough that round-off, about
+    3e-11 * |f| at the default, stays well below gradients of order 1e-6.
+    """
     params = np.asarray(params, dtype=np.float64)
     grad = np.zeros_like(params)
     for k in range(params.size):
         eps = probe_eps * (1.0 + abs(params[k]))
-        plus = params.copy()
-        plus[k] += eps
-        minus = params.copy()
-        minus[k] -= eps
-        lp, lm = loss_closure(plus), loss_closure(minus)
-        if not (np.isfinite(lp) and np.isfinite(lm)):
+        losses = []
+        for step in (2.0, 1.0, -1.0, -2.0):
+            probe = params.copy()
+            probe[k] += step * eps
+            losses.append(loss_closure(probe))
+        if not np.all(np.isfinite(losses)):
             raise NonFiniteLossError(f"non-finite loss probing coordinate {k}")
-        grad[k] = (lp - lm) / (2.0 * eps)
+        p2, p1, m1, m2 = losses
+        grad[k] = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * eps)
     return grad
 
 
@@ -188,9 +194,10 @@ def loss_and_grad(config: ModelConfig, pv: ParamVector, batch) -> tuple[float, n
     if not batch:
         raise EmptyDatasetError("empty batch")
     params_t = Tensor(pv.values, requires_grad=True)
+    graph = _Graph(config, params_t, pv)  # Grams and resolvents built once per branch
     total = None
     for cloud, queries, target in batch:
-        pred = forward_graph(config, params_t, pv, cloud, queries)
+        pred = graph.forward(cloud, queries)
         l = _loss_graph(pred, np.asarray(target, dtype=np.float64))
         total = l if total is None else total + l
     total.backward()
@@ -363,9 +370,10 @@ def train_model(
 ):
     """Optimize ``pv`` in place over ``batch_pool`` (list of samples).
 
-    Returns (pv, state, history). Aborts on non-finite loss, keeping the
-    last good parameters; the failing step is not in the history, so a
-    history shorter than the requested steps means the run stopped early.
+    Returns (pv, state, history). Aborts on a non-finite loss or gradient,
+    keeping the last good parameters; the failing step is not in the
+    history, so a history shorter than the requested steps means the run
+    stopped early.
     Kernel alphas are clamped to the stable negative regime after every
     step. Passing a saved optimizer ``state`` plus the matching
     ``start_step`` resumes a run; the deterministic batch order is replayed,
@@ -389,12 +397,12 @@ def train_model(
             t0 = time.monotonic()
             try:
                 loss_sum, grad = loss_and_grad(config, pv, batch)
-            except NonFiniteLossError:
-                warnings.warn(f"non-finite loss at step {step}; stopping early")
+                loss = loss_sum / len(batch)
+                grad = grad / len(batch)
+                state, new_values, lr = optimizer_step(state, pv.values, grad, opt_cfg)
+            except (NonFiniteLossError, NonFiniteGradientError) as exc:
+                warnings.warn(f"step {step}: {exc}; stopping early")
                 break
-            loss = loss_sum / len(batch)
-            grad = grad / len(batch)
-            state, new_values, lr = optimizer_step(state, pv.values, grad, opt_cfg)
             pv.values = new_values
             if a_idx.size:
                 pv.values[a_idx] = np.minimum(pv.values[a_idx], ALPHA_CLAMP)

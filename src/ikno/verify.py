@@ -292,13 +292,14 @@ def suite_positive_definite(cases: int = 200, seed: int = 0) -> CheckResult:
 
 
 def suite_gradient(
-    seed: int = 0, cases=(("tp", 2), ("vanilla", 2), ("truncated", 2), ("vanilla", 3))
+    seed: int = 0,
+    cases=(("tp", 2), ("vanilla", 2), ("truncated", 2), ("vanilla", 3), ("tp", 3)),
 ) -> CheckResult:
     """Analytic gradient vs. central finite differences on toy models.
 
-    ``cases`` are (variant, dim) pairs. The d=3 case covers the Khatri-Rao
-    cross-kernel VJP where each axis meets a product of two other factors;
-    the cross kernel is the same for every variant.
+    ``cases`` are (variant, dim) pairs. The d=3 cases cover the Khatri-Rao
+    cross-kernel VJP where each axis meets a product of two other factors,
+    and the tp resolvent VJP with two other axes' factors applied.
     """
     rng = Rng64(seed ^ 0x6AD)
     worst = 0.0

@@ -182,6 +182,11 @@ class TestTrainEval:
         with pytest.raises(KeyboardInterrupt):
             main(base + ["--out", str(tmp_path / "part")])
         monkeypatch.setattr(exp, "save_checkpoint", orig)
+        # earlier versions stored the fixed single encoding level in the config
+        manifest = tmp_path / "part" / "checkpoint" / "manifest.json"
+        saved = json.loads(manifest.read_text())
+        saved["meta"]["model"]["nerf_levels"] = 1
+        manifest.write_text(json.dumps(saved))
         assert main(base + ["--resume", "--out", str(tmp_path / "part")]) == 0
         a = _sha(tmp_path / "full" / "checkpoint" / "params.f64le")
         b = _sha(tmp_path / "part" / "checkpoint" / "params.f64le")

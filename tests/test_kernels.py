@@ -14,7 +14,7 @@ from ikno.kernels import (
     grid_linspace,
     linear_window_eval,
     product_kernel_eval,
-    window_gram,
+    window_cross,
 )
 from ikno.tensor_linalg import kron_materialize, sym_eig
 
@@ -205,7 +205,7 @@ class TestCrossKernelAndGrid:
     def test_window_gram_matches_eval(self):
         k = LinearWindowKernel(radius=0.5, scale=2.0, alpha=-0.15)
         pts = np.array([[0.0, 0.0], [0.1, 0.2], [0.9, 0.9]])
-        g = window_gram(k, pts)
+        g = window_cross(k, pts, pts)
         for i in range(3):
             for j in range(3):
                 assert np.isclose(g[i, j], linear_window_eval(k, pts[i], pts[j]))

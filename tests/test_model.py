@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ikno.errors import ChannelMismatchError, UnsupportedLevelsError
+from ikno.errors import ChannelMismatchError
 from ikno.kernels import PointCloud, cross_kernel
 from ikno.model import (
     ModelConfig,
@@ -43,10 +43,6 @@ class TestPositionalEncode:
     def test_d2_layout(self):
         got = positional_encode(np.array([0.0, np.pi]))
         assert np.abs(got - [0.0, np.pi, 1.0, -1.0, 0.0, 0.0]).max() <= 1e-12
-
-    def test_levels_guard(self):
-        with pytest.raises(UnsupportedLevelsError):
-            positional_encode(np.array([0.0]), levels=2)
 
 
 class TestInitParams:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ikno.ops_ad
 import ikno.training
 from ikno.data import CSinesSpec, gen_csines
 from ikno.errors import (
@@ -138,6 +139,14 @@ class TestGradFd:
         g = grad_fd(lambda p: 1.0, np.ones(4))
         assert np.abs(g).max() <= 1e-10
 
+    def test_small_gradient_of_unit_loss(self):
+        # gradients near the 1e-6 floor of the gradient suite, on a loss of ~1:
+        # a second-order stencil's round-off reads about 4e-4 here
+        x = np.linspace(-1.0, 1.0, 41)
+        g = grad_fd(lambda p: 1.0 + 1e-7 * float(np.sin(p).sum()), x)
+        exact = 1e-7 * np.cos(x)
+        assert np.max(np.abs(g - exact) / np.abs(exact)) <= 2e-4
+
 
 class TestGradAnalytic:
     def test_duplicated_batch_doubles_gradient(self):
@@ -172,6 +181,32 @@ class TestGradAnalytic:
 
         g_fd = grad_fd(closure, pv.values)
         assert abs(g[k] - g_fd[k]) <= 1e-5 * max(1e-6, abs(g_fd[k]))
+
+
+    @pytest.mark.parametrize("variant", ["tp", "vanilla"])
+    def test_one_resolvent_build_per_branch_per_batch(self, monkeypatch, variant):
+        cfg = ModelConfig(dim=2, grid_l=4, hidden=4, branches=3, variant=variant)
+        pv = init_params(cfg, 0)
+        rng = np.random.default_rng(4)
+        batch = [
+            (
+                PointCloud(rng.uniform(-1, 1, (5, 2)), channels=rng.uniform(-1, 1, (5, 1))),
+                PointCloud(rng.uniform(-1, 1, (3, 2))),
+                rng.uniform(-1, 1, (3, 1)),
+            )
+            for _ in range(4)
+        ]
+        builds = []
+        for name in ("build_tp", "build_vanilla"):
+            real = getattr(ikno.ops_ad, name)
+
+            def counted(*args, real=real, name=name):
+                builds.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(ikno.ops_ad, name, counted)
+        ikno.training.loss_and_grad(cfg, pv, batch)
+        assert builds == [f"build_{variant}"] * 3
 
 
 class TestOptimizer:
@@ -355,23 +390,30 @@ class TestTrainLoop:
 
 
 class TestRunTraining:
-    def test_nonfinite_loss_stops_and_checkpoints_applied_steps(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "target, error",
+        [("loss_and_grad", NonFiniteLossError), ("optimizer_step", NonFiniteGradientError)],
+        ids=["loss", "gradient"],
+    )
+    def test_nonfinite_loss_stops_and_checkpoints_applied_steps(
+        self, tmp_path, monkeypatch, target, error
+    ):
         ds = gen_csines(CSinesSpec(num_samples=8, num_points=8, num_queries=8, seed=0))
         spec = RunSpec(
             model=ModelConfig(dim=2, grid_l=4, hidden=4, branches=1),
             steps=6, batch_size=2, test_count=2, checkpoint_every=2,
         )
-        real = ikno.training.loss_and_grad
+        real = getattr(ikno.training, target)
         calls = {"n": 0}
 
         def fails_at_step_2(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 3:
-                raise NonFiniteLossError("injected")
+                raise error("injected")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ikno.training, "loss_and_grad", fails_at_step_2)
-        with pytest.warns(UserWarning, match="non-finite loss at step 2"):
+        monkeypatch.setattr(ikno.training, target, fails_at_step_2)
+        with pytest.warns(UserWarning, match="step 2: injected; stopping early"):
             report = run_training(ds, spec, out_dir=tmp_path)
         validate_report(report)
         assert report["steps_done"] == 2
