@@ -28,7 +28,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, requires_grad=False, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -43,27 +43,41 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
+        else:
+            self.grad += g
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every leaf's ``grad``.
+
+        The graph is released as the sweep goes: once a node's VJP has run,
+        its gradient, VJP closure and parent links are dropped, so each
+        intermediate array is freed as soon as nothing downstream needs it
+        and no reference cycle keeps the graph alive afterwards. Leaves
+        (tensors without a VJP) keep their gradients.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
+        # iterative depth-first post-order; parents are visited in order,
+        # as a recursive visit would, so gradients sum in the same order
         topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen or not t.requires_grad:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        stack = [(self, False)]
+        while stack:
+            t, done = stack.pop()
+            if done:
+                topo.append(t)
+            elif id(t) not in seen and t.requires_grad:
+                seen.add(id(t))
+                stack.append((t, True))
+                stack.extend((p, False) for p in reversed(t._parents))
         self.grad = np.ones_like(self.data)
-        for t in reversed(topo):
+        while topo:
+            t = topo.pop()
             if t._vjp is not None:
-                t._vjp(t.grad)
+                if t.grad is not None:
+                    t._vjp(t.grad)
+                t.grad = t._vjp = None
+                t._parents = ()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -117,11 +131,11 @@ class Tensor:
         a, b = self, other
         out_data = a.data @ b.data
 
-        def vjp(g):
+        def vjp(g):  # batched operands broadcast over their leading axes
             if a.requires_grad:
-                a._accum(g @ b.data.T)
+                a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
             if b.requires_grad:
-                b._accum(a.data.T @ g)
+                b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
         return Tensor(out_data, parents=(a, b), vjp=vjp)
 
@@ -170,11 +184,8 @@ class Tensor:
         def vjp(g):
             if not a.requires_grad:
                 return
-            if axis is None:
-                a._accum(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a._accum(np.broadcast_to(gg, a.data.shape).copy())
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            a._accum(np.broadcast_to(gg, a.data.shape))
 
         return Tensor(out_data, parents=(a,), vjp=vjp)
 
@@ -188,14 +199,13 @@ class Tensor:
 
         return Tensor(out_data, parents=(a,), vjp=vjp)
 
-    @property
-    def T(self):
+    def swapaxes(self, axis1, axis2):
         a = self
-        out_data = a.data.T
+        out_data = a.data.swapaxes(axis1, axis2)
 
         def vjp(g):
             if a.requires_grad:
-                a._accum(g.T)
+                a._accum(g.swapaxes(axis1, axis2))
 
         return Tensor(out_data, parents=(a,), vjp=vjp)
 
@@ -205,9 +215,9 @@ class Tensor:
 
         def vjp(g):
             if a.requires_grad:
-                full = np.zeros_like(a.data)
-                np.add.at(full, idx, g)
-                a._accum(full)
+                if a.grad is None:
+                    a.grad = np.zeros_like(a.data)
+                np.add.at(a.grad, idx, g)
 
         return Tensor(out_data, parents=(a,), vjp=vjp)
 

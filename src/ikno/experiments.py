@@ -200,19 +200,16 @@ def run_training(ds: Dataset, spec: RunSpec, out_dir=None, resume: bool = False)
         out.mkdir(parents=True, exist_ok=True)
 
     done = start_step
-    stopped_early = False
-    while done < spec.steps:
+    stop_reason = "completed"
+    while done < spec.steps and stop_reason == "completed":
         chunk = min(spec.checkpoint_every, spec.steps - done) if ckpt_dir else spec.steps - done
-        pv, state, hist = train_model(
+        pv, state, hist, stop_reason = train_model(
             spec.model, pv, train, train_cfg,
             state=state, start_step=done, stop_step=done + chunk,
         )
         done += len(hist)
         if ckpt_dir:
             save_checkpoint(ckpt_dir, spec, pv, state, done, cond_stats, tgt_stats)
-        if len(hist) < chunk:
-            stopped_early = True
-            break
 
     final = evaluate(spec.model, pv, test)
     report = {
@@ -220,7 +217,8 @@ def run_training(ds: Dataset, spec: RunSpec, out_dir=None, resume: bool = False)
         "variant": spec.model.variant,
         "steps": spec.steps,
         "steps_done": done,
-        "stopped_early": stopped_early,
+        "stopped_early": stop_reason != "completed",
+        "stop_reason": stop_reason,
         "seed": spec.seed,
         "num_train": len(train),
         "num_test": len(test),

@@ -18,6 +18,7 @@ operators; this is the controlled setting of the finite-order study.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,7 +38,13 @@ from .kernels import (
     window_cross,
 )
 from . import ops_ad
-from .ops_ad import khatri_rao_ad, truncated_ad, tp_resolvent_ad, vanilla_resolvent_ad
+from .ops_ad import (
+    block_matmul_ad,
+    khatri_rao_ad,
+    tp_resolvent_ad,
+    truncated_ad,
+    vanilla_resolvent_ad,
+)
 from .resolvent import ResolventTP, ResolventVanilla
 from .rng import Rng64
 from .tensor_linalg import dense_inverse, kron_materialize
@@ -331,11 +338,12 @@ class _Graph:
         return khatri_rao_ad(factors, transpose)
 
     def branch_operator(self, b: int, x: Tensor) -> Tensor:
-        """Apply the branch's latent-grid operator to an (M, h) tensor."""
+        """Apply the branch's latent-grid operator to latent features, given
+        as (M, B*h) or, in the same memory order, as (M*B, h); the result is
+        (N_1, ..., N_d, B*h)."""
         cfg = self.config
         sizes = self.grid.axis_sizes
-        h = x.shape[-1]
-        xt = x.reshape(*sizes, h)
+        xt = x.reshape(*sizes, x.data.size // self.grid.num_points)
         grams = self.axis_grams(b)
         alpha = self.branch_alpha(b)
         if cfg.variant == "truncated":
@@ -347,34 +355,47 @@ class _Graph:
                 self._resolvent_cache[b] = build([g.data for g in grams], float(alpha.data))
             apply_ad = tp_resolvent_ad if tp else vanilla_resolvent_ad
             yt = apply_ad(self._resolvent_cache[b], xt, grams, alpha)
-        return yt.reshape(self.grid.num_points, h)
+        return yt
 
     # -- pipeline stages --
+    #
+    # A batch of B samples whose clouds share one size n and whose query sets
+    # share one size n_q runs as a single stacked pass: points and queries are
+    # stacked sample-major, (B*n, .) and (B*n_q, .); latent features are
+    # (M, B*h) with sample i in channels i*h:(i+1)*h, so the resolvents see B*h
+    # channels, and (M*B, h) row-wise for the fusion layers and the processor.
 
-    def tokenize(self, cloud: PointCloud) -> Tensor:
+    def tokenize(self, clouds: Sequence[PointCloud]) -> Tensor:
+        """(B*n, h) point tokens."""
         cfg = self.config
-        n_ch = 0 if cloud.channels is None else cloud.channels.shape[1]
-        if n_ch != cfg.in_channels:
-            raise ChannelMismatchError(
-                f"cloud has {n_ch} condition channels, config expects {cfg.in_channels}"
-            )
-        psi = positional_encode(cloud.coords)
-        feats = psi if cloud.channels is None else np.concatenate([psi, cloud.channels], axis=1)
+        for cloud in clouds:
+            n_ch = 0 if cloud.channels is None else cloud.channels.shape[1]
+            if n_ch != cfg.in_channels:
+                raise ChannelMismatchError(
+                    f"cloud has {n_ch} condition channels, config expects {cfg.in_channels}"
+                )
+        feats = positional_encode(_stacked(clouds, "coords"))
+        if cfg.in_channels:
+            feats = np.concatenate([feats, _stacked(clouds, "channels")], axis=1)
         x = Tensor(feats)
         hmid = gelu(x @ self.seg("tokenizer.w0") + self.seg("tokenizer.b0"))
         return hmid @ self.seg("tokenizer.w1") + self.seg("tokenizer.b1")
 
-    def encode(self, v_p: Tensor, cloud: PointCloud) -> Tensor:
+    def encode(self, v_p: Tensor, clouds: Sequence[PointCloud]) -> Tensor:
+        """(B*n, h) tokens -> (M*B, h) latent features."""
         cfg = self.config
+        batch, m, h = len(clouds), self.grid.num_points, v_p.shape[-1]
+        coords = _stacked(clouds, "coords")
         outs = []
         if cfg.fixed_window is not None:
-            kgp = Tensor(window_cross(cfg.fixed_window, self.grid.points(), cloud.coords))
+            kgp = Tensor(window_cross(cfg.fixed_window, self.grid.points(), coords))
             op = Tensor(_fixed_operator(cfg))
-            outs.append(op @ (kgp @ v_p))
+            outs.append(op @ block_matmul_ad(kgp, v_p, batch, (1, 0, 1)))
         else:
             for b in range(cfg.branches):
-                kgp = self.cross(b, cloud.coords)
-                outs.append(self.branch_operator(b, kgp @ v_p))
+                kgp = self.cross(b, coords)
+                outs.append(self.branch_operator(b, block_matmul_ad(kgp, v_p, batch, (1, 0, 1))))
+        outs = [o.reshape(m * batch, h) for o in outs]
         fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
         return fused @ self.seg("enc_fusion.w") + self.seg("enc_fusion.b")
 
@@ -385,49 +406,74 @@ class _Graph:
         if cfg.processor == "mlp":
             mid = gelu(v_g @ self.seg("proc.w0") + self.seg("proc.b0"))
             return v_g + (mid @ self.seg("proc.w1") + self.seg("proc.b1"))
-        q = v_g @ self.seg("proc.wq")
-        k = v_g @ self.seg("proc.wk")
-        v = v_g @ self.seg("proc.wv")
-        scores = (q @ k.T) * (1.0 / np.sqrt(cfg.hidden))
-        shifted = scores - float(scores.data.max())  # constant shift, gradient-safe
+        m = self.grid.num_points
+        batch = v_g.shape[0] // m
+
+        def per_sample(t: Tensor) -> Tensor:  # (M*B, h) -> (B, M, h)
+            return t.reshape(m, batch, cfg.hidden).swapaxes(0, 1)
+
+        q = per_sample(v_g @ self.seg("proc.wq"))
+        k = per_sample(v_g @ self.seg("proc.wk"))
+        v = per_sample(v_g @ self.seg("proc.wv"))
+        scores = (q @ k.swapaxes(1, 2)) * (1.0 / np.sqrt(cfg.hidden))
+        # constant shift per row, gradient-safe; a row far below a shared
+        # maximum would underflow to 0/0
+        shifted = scores - scores.data.max(axis=-1, keepdims=True)
         e = shifted.exp()
         attn = e / e.sum(axis=-1, keepdims=True)
-        return v_g + (attn @ v) @ self.seg("proc.wo")
+        mixed = (attn @ v).swapaxes(0, 1).reshape(m * batch, cfg.hidden)
+        return v_g + mixed @ self.seg("proc.wo")
 
-    def decode(self, v_gp: Tensor, queries: PointCloud) -> Tensor:
+    def decode(self, v_gp: Tensor, queries: Sequence[PointCloud]) -> Tensor:
+        """(M*B, h) latent features -> (B*n_q, out_channels) predictions."""
         cfg = self.config
+        batch, m = len(queries), self.grid.num_points
+        bh = batch * v_gp.shape[-1]
+        coords = _stacked(queries, "coords")
         outs = []
         if cfg.fixed_window is not None:
             op = Tensor(_fixed_operator(cfg))
-            kqg = Tensor(window_cross(cfg.fixed_window, queries.coords, self.grid.points()))
-            outs.append(kqg @ (op @ v_gp))
+            kqg = Tensor(window_cross(cfg.fixed_window, coords, self.grid.points()))
+            outs.append(block_matmul_ad(kqg, op @ v_gp.reshape(m, bh), batch, (0, 1, 0)))
         else:
             for b in range(cfg.branches):
-                w = self.branch_operator(b, v_gp)
-                kqg = self.cross(b, queries.coords, transpose=True)
-                outs.append(kqg @ w)
+                w = self.branch_operator(b, v_gp).reshape(m, bh)
+                kqg = self.cross(b, coords, transpose=True)
+                outs.append(block_matmul_ad(kqg, w, batch, (0, 1, 0)))
         fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
         fused = fused @ self.seg("dec_fusion.w") + self.seg("dec_fusion.b")
         mid = gelu(fused @ self.seg("head.w0") + self.seg("head.b0"))
         return mid @ self.seg("head.w1") + self.seg("head.b1")
 
-    def forward(self, cloud: PointCloud, queries: PointCloud) -> Tensor:
-        v_p = self.tokenize(cloud)
-        v_g = self.encode(v_p, cloud)
+    def forward(self, clouds: Sequence[PointCloud], queries: Sequence[PointCloud]) -> Tensor:
+        """Stacked (B*n_q, out_channels) predictions of a batch whose clouds
+        share one size and whose query sets share one size."""
+        v_p = self.tokenize(clouds)
+        v_g = self.encode(v_p, clouds)
         v_gp = self.process(v_g)
         return self.decode(v_gp, queries)
+
+
+def _stacked(clouds: Sequence[PointCloud], attr: str) -> np.ndarray:
+    """The clouds' ``coords`` or ``channels`` stacked sample-major."""
+    if len(clouds) == 1:
+        return getattr(clouds[0], attr)
+    return np.concatenate([getattr(c, attr) for c in clouds])
 
 
 def _np_graph(config: ModelConfig, pv: ParamVector) -> _Graph:
     return _Graph(config, Tensor(pv.values), pv)
 
 
+# Single-sample numpy entry points: the stacked pipeline with B = 1.
+
+
 def tokenize(config: ModelConfig, pv: ParamVector, cloud: PointCloud) -> np.ndarray:
-    return _np_graph(config, pv).tokenize(cloud).data
+    return _np_graph(config, pv).tokenize([cloud]).data
 
 
 def encode(config: ModelConfig, pv: ParamVector, v_p: np.ndarray, cloud: PointCloud) -> np.ndarray:
-    return _np_graph(config, pv).encode(Tensor(v_p), cloud).data
+    return _np_graph(config, pv).encode(Tensor(v_p), [cloud]).data
 
 
 def process(config: ModelConfig, pv: ParamVector, v_g: np.ndarray) -> np.ndarray:
@@ -435,8 +481,8 @@ def process(config: ModelConfig, pv: ParamVector, v_g: np.ndarray) -> np.ndarray
 
 
 def decode(config: ModelConfig, pv: ParamVector, v_gp: np.ndarray, queries: PointCloud) -> np.ndarray:
-    return _np_graph(config, pv).decode(Tensor(v_gp), queries).data
+    return _np_graph(config, pv).decode(Tensor(v_gp), [queries]).data
 
 
 def forward(config: ModelConfig, pv: ParamVector, cloud: PointCloud, queries: PointCloud) -> np.ndarray:
-    return _np_graph(config, pv).forward(cloud, queries).data
+    return _np_graph(config, pv).forward([cloud], [queries]).data

@@ -10,7 +10,8 @@ every forward and backward application.
 Grid-cloud cross kernels are Khatri-Rao (column-wise Kronecker) products of
 per-axis factors, so their gradient contracts the upstream gradient with the
 other axes' factors and never differentiates through an M x n array of
-exponentials.
+exponentials. A stacked batch meets its cross kernels through per-sample
+block products, so the resolvents see the whole batch as extra channels.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .tensor_linalg import kron_apply, mode_apply
 __all__ = [
     "build_tp",  # build the operators that the resolvent ops take
     "build_vanilla",
+    "block_matmul_ad",
     "khatri_rao_ad",
     "mode_apply_ad",
     "vanilla_resolvent_ad",
@@ -90,6 +92,45 @@ def khatri_rao_ad(factors: list[Tensor], transpose: bool = False) -> Tensor:
         return grads
 
     return custom_op(list(factors), out, backward)
+
+
+def _blocks(x: np.ndarray, batch: int, axis: int) -> np.ndarray:
+    """(B, r, c) view of a 2-D array that stacks B blocks along ``axis``."""
+    r, c = x.shape
+    if axis == 0:
+        return x.reshape(batch, r // batch, c)
+    return x.reshape(r, batch, c // batch).swapaxes(0, 1)
+
+
+def _unblocks(x: np.ndarray, axis: int) -> np.ndarray:
+    """Inverse of :func:`_blocks`: stack the B blocks of x along ``axis``."""
+    b, r, c = x.shape
+    if axis == 0:
+        return x.reshape(b * r, c)
+    return x.swapaxes(0, 1).reshape(r, b * c)
+
+
+def block_matmul_ad(a: Tensor, b: Tensor, batch: int, axes: tuple[int, int, int]) -> Tensor:
+    """Per-sample products of two stacked operands.
+
+    ``a`` and ``b`` are 2-D and stack ``batch`` blocks along axes[0] and
+    axes[1]; block i of the result, stacked along axes[2], is a_i @ b_i.
+    The encoder's (M, B*n) cross kernel times (B*n, h) tokens gives the
+    (M, B*h) latent features with axes (1, 0, 1); the decoder's (B*n_q, M)
+    cross kernel times (M, B*h) features gives (B*n_q, h) with (0, 1, 0).
+    """
+    ax_a, ax_b, ax_out = axes
+    a3, b3 = _blocks(a.data, batch, ax_a), _blocks(b.data, batch, ax_b)
+    out = _unblocks(a3 @ b3, ax_out)
+
+    def backward(g):
+        g3 = _blocks(g, batch, ax_out)
+        return [
+            _unblocks(g3 @ b3.swapaxes(1, 2), ax_a),
+            _unblocks(a3.swapaxes(1, 2) @ g3, ax_b),
+        ]
+
+    return custom_op([a, b], out, backward)
 
 
 def mode_apply_ad(x: Tensor, a: Tensor, axis: int) -> Tensor:

@@ -27,7 +27,7 @@ from .errors import (
     NonpositiveTauError,
 )
 from .kernels import PointCloud
-from .model import ModelConfig, ParamVector, _Graph, alpha_indices, forward
+from .model import ModelConfig, ParamVector, _Graph, _np_graph, alpha_indices, forward
 
 __all__ = [
     "NormStats",
@@ -101,12 +101,33 @@ def relative_l2_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
     return math.sqrt(float(((y - y_hat) ** 2).sum())) / denom
 
 
-def _loss_graph(pred: Tensor, target: np.ndarray) -> Tensor:
-    denom = math.sqrt(float((target**2).sum()))
-    if denom < ZERO_TARGET_FLOOR:
+def _stacked_loss(graph: _Graph, samples) -> Tensor:
+    """Summed relative-L2 loss of samples that share one cloud size and one
+    query count, run as one stacked forward pass."""
+    clouds, queries, targets = zip(*samples)
+    targets = [np.asarray(t, dtype=np.float64) for t in targets]
+    denoms = np.array([math.sqrt(float((t**2).sum())) for t in targets])
+    if np.any(denoms < ZERO_TARGET_FLOOR):
         raise NonFiniteLossError("zero-norm target in training batch")
-    diff = pred - Tensor(target)
-    return ((diff * diff).sum()).sqrt() * (1.0 / denom)
+    diff = graph.forward(clouds, queries) - Tensor(np.concatenate(targets))
+    per_sample = (diff * diff).reshape(len(samples), -1).sum(axis=1).sqrt()
+    return (per_sample * (1.0 / denoms)).sum()
+
+
+def _batch_loss_graph(graph: _Graph, batch) -> Tensor:
+    """Summed relative-L2 loss of a batch: samples are grouped by (cloud size,
+    query count) and each group runs stacked through ``graph``."""
+    if not batch:
+        raise EmptyDatasetError("empty batch")
+    groups: dict[tuple[int, int], list] = {}
+    for sample in batch:
+        cloud, queries, _ = sample
+        groups.setdefault((cloud.count, queries.count), []).append(sample)
+    total = None
+    for samples in groups.values():
+        loss = _stacked_loss(graph, samples)
+        total = loss if total is None else total + loss
+    return total
 
 
 # -- temporal targets --------------------------------------------------------
@@ -179,32 +200,23 @@ def grad_fd(loss_closure, params: np.ndarray, probe_eps: float = 1e-5) -> np.nda
 
 
 def batch_loss(config: ModelConfig, pv: ParamVector, batch) -> float:
-    """Summed per-sample relative-L2 loss (numpy path, no graph)."""
-    total = 0.0
-    for cloud, queries, target in batch:
-        pred = forward(config, pv, cloud, queries)
-        loss = relative_l2_loss(target, pred)
-        if not np.isfinite(loss):
-            raise NonFiniteLossError("non-finite sample loss")
-        total += loss
-    return total
+    """Summed per-sample relative-L2 loss (numpy path: the forward of
+    :func:`loss_and_grad` without recording gradients)."""
+    loss = float(_batch_loss_graph(_np_graph(config, pv), batch).data)
+    if not np.isfinite(loss):
+        raise NonFiniteLossError("non-finite batch loss")
+    return loss
 
 
 def loss_and_grad(config: ModelConfig, pv: ParamVector, batch) -> tuple[float, np.ndarray]:
-    if not batch:
-        raise EmptyDatasetError("empty batch")
     params_t = Tensor(pv.values, requires_grad=True)
-    graph = _Graph(config, params_t, pv)  # Grams and resolvents built once per branch
-    total = None
-    for cloud, queries, target in batch:
-        pred = graph.forward(cloud, queries)
-        l = _loss_graph(pred, np.asarray(target, dtype=np.float64))
-        total = l if total is None else total + l
+    # Grams and resolvents are built once per branch and shared by the batch
+    total = _batch_loss_graph(_Graph(config, params_t, pv), batch)
     total.backward()
     loss = float(total.data)
     if not np.isfinite(loss):
         raise NonFiniteLossError("non-finite batch loss")
-    return loss, params_t.grad.copy()
+    return loss, params_t.grad
 
 
 def grad_analytic(config: ModelConfig, pv: ParamVector, batch) -> np.ndarray:
@@ -370,10 +382,11 @@ def train_model(
 ):
     """Optimize ``pv`` in place over ``batch_pool`` (list of samples).
 
-    Returns (pv, state, history). Aborts on a non-finite loss or gradient,
-    keeping the last good parameters; the failing step is not in the
-    history, so a history shorter than the requested steps means the run
-    stopped early.
+    Returns (pv, state, history, stop_reason). A non-finite loss or
+    gradient stops the run with stop_reason ``"nonfinite_loss"`` or
+    ``"nonfinite_gradient"``, keeping the last good parameters; the failing
+    step is not in the history. A run that reaches its last step (or
+    ``stop_step``) returns ``"completed"``.
     Kernel alphas are clamped to the stable negative regime after every
     step. Passing a saved optimizer ``state`` plus the matching
     ``start_step`` resumes a run; the deterministic batch order is replayed,
@@ -384,6 +397,7 @@ def train_model(
         state = OptimizerState.fresh(pv.size)
     a_idx = alpha_indices(config, pv)
     history = []
+    stop_reason = "completed"
     log_f = open(train_cfg.log_path, "a" if start_step else "w") if train_cfg.log_path else None
     try:
         for step, idxs in enumerate(
@@ -402,6 +416,8 @@ def train_model(
                 state, new_values, lr = optimizer_step(state, pv.values, grad, opt_cfg)
             except (NonFiniteLossError, NonFiniteGradientError) as exc:
                 warnings.warn(f"step {step}: {exc}; stopping early")
+                loss_failed = isinstance(exc, NonFiniteLossError)
+                stop_reason = "nonfinite_loss" if loss_failed else "nonfinite_gradient"
                 break
             pv.values = new_values
             if a_idx.size:
@@ -419,7 +435,7 @@ def train_model(
     finally:
         if log_f:
             log_f.close()
-    return pv, state, history
+    return pv, state, history, stop_reason
 
 
 def evaluate(config: ModelConfig, pv: ParamVector, samples) -> dict:

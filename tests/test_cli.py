@@ -138,6 +138,7 @@ class TestTrainEval:
         validate_report(metrics)
         assert metrics["steps_done"] == 4
         assert metrics["stopped_early"] is False
+        assert metrics["stop_reason"] == "completed"
         log_lines = (out / "train_log.jsonl").read_text().splitlines()
         assert len(log_lines) == 4
 

@@ -225,6 +225,18 @@ class TestProcess:
         ref = v_g + (attn @ v) @ wo
         assert np.abs(process(cfg, pv, v_g) - ref).max() <= 1e-12
 
+    def test_tiny_attention_rows_far_apart_stay_finite(self):
+        # row 1's scores sit ~7e3 below row 0's maximum: a shift by the shared
+        # maximum underflows all of row 1's exponentials to 0/0
+        cfg = ModelConfig(dim=1, grid_l=2, hidden=2, branches=1, processor="tiny_attention")
+        pv = init_params(cfg, 4)
+        for name in ("wq", "wk", "wv", "wo"):
+            pv.get(f"proc.{name}")[...] = np.eye(2)
+        v_g = np.array([[100.0, 0.0], [0.0, 0.0]])
+        # row 0 attends to itself; row 1 averages the two value rows
+        ref = v_g + np.array([[100.0, 0.0], [50.0, 0.0]])
+        assert np.abs(process(cfg, pv, v_g) - ref).max() <= 1e-12
+
 
 class TestForward:
     def test_zero_head_zero_predictions(self):

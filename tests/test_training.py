@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -342,8 +344,8 @@ class TestTrainLoop:
     def test_bit_identical_trajectories(self):
         cfg, pool = self._tiny_problem()
         tc = TrainConfig(steps=10, batch_size=2, seed=3)
-        pv1, _, _ = train_model(cfg, init_params(cfg, 1), pool, tc)
-        pv2, _, _ = train_model(cfg, init_params(cfg, 1), pool, tc)
+        pv1, _, _, _ = train_model(cfg, init_params(cfg, 1), pool, tc)
+        pv2, _, _, _ = train_model(cfg, init_params(cfg, 1), pool, tc)
         assert np.array_equal(pv1.values, pv2.values)
 
     def test_alpha_clamped_negative(self):
@@ -352,14 +354,14 @@ class TestTrainLoop:
 
         cfg, pool = self._tiny_problem()
         tc = TrainConfig(steps=15, batch_size=2, seed=4)
-        pv, _, _ = train_model(cfg, init_params(cfg, 2), pool, tc)
+        pv, _, _, _ = train_model(cfg, init_params(cfg, 2), pool, tc)
         assert np.all(pv.values[alpha_indices(cfg, pv)] <= ALPHA_CLAMP)
 
     def test_history_fields_and_log(self, tmp_path):
         cfg, pool = self._tiny_problem()
         log = tmp_path / "log.jsonl"
         tc = TrainConfig(steps=5, batch_size=2, seed=5, log_path=str(log))
-        _, _, hist = train_model(cfg, init_params(cfg, 3), pool, tc)
+        _, _, hist, _ = train_model(cfg, init_params(cfg, 3), pool, tc)
         assert len(hist) == 5
         for rec in hist:
             assert set(rec) == {"step", "lr", "loss", "grad_norm", "wall_time_s"}
@@ -372,18 +374,47 @@ class TestTrainLoop:
     def test_resume_matches_uninterrupted(self):
         cfg, pool = self._tiny_problem()
         tc = TrainConfig(steps=12, batch_size=2, seed=6)
-        pv_full, _, _ = train_model(cfg, init_params(cfg, 4), pool, tc)
-        pv_a, state, _ = train_model(
+        pv_full, _, _, _ = train_model(cfg, init_params(cfg, 4), pool, tc)
+        pv_a, state, _, _ = train_model(
             cfg, init_params(cfg, 4), pool, tc, stop_step=7
         )
-        pv_b, _, _ = train_model(cfg, pv_a, pool, tc, state=state, start_step=7)
+        pv_b, _, _, _ = train_model(cfg, pv_a, pool, tc, state=state, start_step=7)
         assert np.array_equal(pv_full.values, pv_b.values)
+
+    @pytest.mark.parametrize(
+        "target, error, reason",
+        [
+            (None, None, "completed"),
+            ("loss_and_grad", NonFiniteLossError, "nonfinite_loss"),
+            ("optimizer_step", NonFiniteGradientError, "nonfinite_gradient"),
+        ],
+        ids=["completed", "loss", "gradient"],
+    )
+    def test_stop_reason(self, monkeypatch, target, error, reason):
+        cfg, pool = self._tiny_problem()
+        if target is not None:
+            real = getattr(ikno.training, target)
+            calls = {"n": 0}
+
+            def fails_at_step_1(*args, **kwargs):
+                calls["n"] += 1
+                if calls["n"] == 2:
+                    raise error("injected")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(ikno.training, target, fails_at_step_1)
+        tc = TrainConfig(steps=3, batch_size=2, seed=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, state, hist, got = train_model(cfg, init_params(cfg, 6), pool, tc)
+        assert got == reason
+        assert len(hist) == state.step == (3 if target is None else 1)
 
     def test_caller_optimizer_config_unchanged(self):
         cfg, pool = self._tiny_problem()
         opt = OptimizerConfig(total_steps=1000)
         tc = TrainConfig(steps=3, batch_size=2, seed=7, optimizer=opt)
-        _, _, hist = train_model(cfg, init_params(cfg, 5), pool, tc)
+        _, _, hist, _ = train_model(cfg, init_params(cfg, 5), pool, tc)
         assert opt == OptimizerConfig(total_steps=1000)
         # the schedule still spans the run's own step budget
         assert hist[-1]["lr"] == ikno.training._cosine_lr(OptimizerConfig(total_steps=3), 2)
@@ -391,12 +422,15 @@ class TestTrainLoop:
 
 class TestRunTraining:
     @pytest.mark.parametrize(
-        "target, error",
-        [("loss_and_grad", NonFiniteLossError), ("optimizer_step", NonFiniteGradientError)],
+        "target, error, reason",
+        [
+            ("loss_and_grad", NonFiniteLossError, "nonfinite_loss"),
+            ("optimizer_step", NonFiniteGradientError, "nonfinite_gradient"),
+        ],
         ids=["loss", "gradient"],
     )
     def test_nonfinite_loss_stops_and_checkpoints_applied_steps(
-        self, tmp_path, monkeypatch, target, error
+        self, tmp_path, monkeypatch, target, error, reason
     ):
         ds = gen_csines(CSinesSpec(num_samples=8, num_points=8, num_queries=8, seed=0))
         spec = RunSpec(
@@ -418,6 +452,7 @@ class TestRunTraining:
         validate_report(report)
         assert report["steps_done"] == 2
         assert report["stopped_early"] is True
+        assert report["stop_reason"] == reason
         _, _, state, step_done, _, _ = load_checkpoint(tmp_path / "checkpoint")
         assert step_done == 2
         assert state.step == 2
