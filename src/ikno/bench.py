@@ -20,8 +20,7 @@ from .errors import CapExceededError
 from .kernels import AxisKernelParams, axis_gram
 from .resolvent import (
     NAIVE_CAP_DEFAULT,
-    apply_tp,
-    apply_vanilla,
+    apply_resolvent,
     build_tp,
     build_vanilla,
 )
@@ -135,13 +134,13 @@ def run_bench(
             full = kron_materialize(grams)
             dense = dense_inverse(np.eye(m) - alpha * full)
             ref = (dense @ t.reshape(m, -1)).reshape(t.shape)
-            dev_v = float(np.abs(apply_vanilla(rv, t) - ref).max())
+            dev_v = float(np.abs(apply_resolvent(rv, t) - ref).max())
             # the tensor-product variant has its own dense oracle
             dense_tp = kron_materialize(
                 [dense_inverse(np.eye(g.shape[0]) - alpha * g) for g in grams]
             )
             ref_tp = (dense_tp @ t.reshape(m, -1)).reshape(t.shape)
-            dev_t = float(np.abs(apply_tp(rt, t) - ref_tp).max())
+            dev_t = float(np.abs(apply_resolvent(rt, t) - ref_tp).max())
         else:
             dev_v = dev_t = None
 
@@ -149,7 +148,7 @@ def run_bench(
             BenchCase(
                 dim=d, n_per_axis=n, m=m, variant="vanilla",
                 build_ns=_median_ns(lambda: build_vanilla(grams, alpha), warmups, reps),
-                apply_ns=_median_ns(lambda: apply_vanilla(rv, t), warmups, reps),
+                apply_ns=_median_ns(lambda: apply_resolvent(rv, t), warmups, reps),
                 warmups=warmups, repetitions=reps, max_deviation=dev_v,
             )
         )
@@ -157,7 +156,7 @@ def run_bench(
             BenchCase(
                 dim=d, n_per_axis=n, m=m, variant="tp",
                 build_ns=_median_ns(lambda: build_tp(grams, alpha), warmups, reps),
-                apply_ns=_median_ns(lambda: apply_tp(rt, t), warmups, reps),
+                apply_ns=_median_ns(lambda: apply_resolvent(rt, t), warmups, reps),
                 warmups=warmups, repetitions=reps, max_deviation=dev_t,
             )
         )

@@ -270,9 +270,6 @@ def cmd_train(args) -> int:
     ds = _load_samples_or_fail(opts["data"])
     if ds is None:
         return 1
-    if opts["variant"] not in ("vanilla", "tp", "truncated"):
-        print(f"error: unknown variant {opts['variant']!r}", file=sys.stderr)
-        return 2
     n_train = len(ds.samples) - opts["test_count"]
     steps = opts["steps"]
     if steps <= 0:

@@ -41,11 +41,10 @@ from . import ops_ad
 from .ops_ad import (
     block_matmul_ad,
     khatri_rao_ad,
-    tp_resolvent_ad,
+    resolvent_ad,
     truncated_ad,
-    vanilla_resolvent_ad,
 )
-from .resolvent import ResolventTP, ResolventVanilla
+from .resolvent import Resolvent
 from .rng import Rng64
 from .tensor_linalg import dense_inverse, kron_materialize
 
@@ -289,7 +288,7 @@ class _Graph:
         self.grid = _grid_for(config.dim, config.grid_l)
         self._seg_cache: dict[str, Tensor] = {}
         self._gram_cache: dict[int, list[Tensor]] = {}
-        self._resolvent_cache: dict[int, ResolventTP | ResolventVanilla] = {}
+        self._resolvent_cache: dict[int, Resolvent] = {}
 
     def seg(self, name: str) -> Tensor:
         if name not in self._seg_cache:
@@ -347,15 +346,11 @@ class _Graph:
         grams = self.axis_grams(b)
         alpha = self.branch_alpha(b)
         if cfg.variant == "truncated":
-            yt = truncated_ad(xt, grams, alpha, cfg.truncation_order)
-        else:
-            tp = cfg.variant == "tp"
-            if b not in self._resolvent_cache:
-                build = ops_ad.build_tp if tp else ops_ad.build_vanilla
-                self._resolvent_cache[b] = build([g.data for g in grams], float(alpha.data))
-            apply_ad = tp_resolvent_ad if tp else vanilla_resolvent_ad
-            yt = apply_ad(self._resolvent_cache[b], xt, grams, alpha)
-        return yt
+            return truncated_ad(xt, grams, alpha, cfg.truncation_order)
+        if b not in self._resolvent_cache:
+            build = ops_ad.build_tp if cfg.variant == "tp" else ops_ad.build_vanilla
+            self._resolvent_cache[b] = build([g.data for g in grams], float(alpha.data))
+        return resolvent_ad(self._resolvent_cache[b], xt, grams, alpha)
 
     # -- pipeline stages --
     #

@@ -1,11 +1,10 @@
 """Differentiable wrappers for the Kronecker-structured kernel operators.
 
 The forward passes reuse the numeric routines from :mod:`ikno.resolvent`;
-the backward passes are hand-written vector-Jacobian products. For the
-resolvent R = (I - alpha*K)^-1 the identity dR = R d(alpha*K) R lets every
-gradient flow through one extra fast-path application instead of through
-the eigendecomposition itself, and one prebuilt operator per branch serves
-every forward and backward application.
+the backward passes are hand-written vector-Jacobian products. Both
+infinite-order resolvents are R = U diag(D) U^T in the axis eigenbasis, so
+one op with one eigenbasis adjoint serves them, and one prebuilt operator
+per branch serves every forward and backward application.
 
 Grid-cloud cross kernels are Khatri-Rao (column-wise Kronecker) products of
 per-axis factors, so their gradient contracts the upstream gradient with the
@@ -19,15 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, custom_op
-from .resolvent import (
-    ResolventTP,
-    ResolventVanilla,
-    apply_tp,
-    apply_vanilla,
-    build_tp,
-    build_vanilla,
-)
-from .tensor_linalg import kron_apply, mode_apply
+from .resolvent import Resolvent, apply_resolvent, build_tp, build_vanilla
+from .tensor_linalg import mode_apply
 
 __all__ = [
     "build_tp",  # build the operators that the resolvent ops take
@@ -35,8 +27,7 @@ __all__ = [
     "block_matmul_ad",
     "khatri_rao_ad",
     "mode_apply_ad",
-    "vanilla_resolvent_ad",
-    "tp_resolvent_ad",
+    "resolvent_ad",
     "truncated_ad",
 ]
 
@@ -144,51 +135,30 @@ def mode_apply_ad(x: Tensor, a: Tensor, axis: int) -> Tensor:
     return custom_op([x, a], out, backward)
 
 
-def vanilla_resolvent_ad(
-    r: ResolventVanilla, x: Tensor, grams: list[Tensor], alpha: Tensor
-) -> Tensor:
-    """(I_M - alpha * K_1 (x) ... (x) K_d)^-1 applied to x through ``r``, the
-    operator built from the values of ``grams`` and ``alpha``."""
-    gram_data = [g.data for g in grams]
-    y = apply_vanilla(r, x.data)
-    d = len(gram_data)
+def resolvent_ad(r: Resolvent, x: Tensor, grams: list[Tensor], alpha: Tensor) -> Tensor:
+    """R = U diag(D) U^T applied to x through ``r``, the vanilla or tp
+    operator built from the values of ``grams`` and ``alpha``.
 
-    def backward(g):
-        w = apply_vanilla(r, g)  # R is symmetric
-        grads = [w]
-        for j in range(d):
-            yp = y
-            for l in range(d):
-                if l != j:
-                    yp = mode_apply(yp, l, gram_data[l])
-            grads.append(r.alpha * (_unfold(w, j) @ _unfold(yp, j).T))
-        ky = kron_apply(gram_data, y)
-        grads.append(np.array(np.sum(w * ky)))
-        return grads
-
-    return custom_op([x, *grams, alpha], y, backward)
-
-
-def tp_resolvent_ad(r: ResolventTP, x: Tensor, grams: list[Tensor], alpha: Tensor) -> Tensor:
-    """Tensor product of per-axis resolvents R_j = (I_N - alpha * K_j)^-1
-    applied to x through ``r``, the operator built from the values of
-    ``grams`` and ``alpha``.
-
-    dy sums R_j d(alpha*K_j) applied to y along each axis j, so with
-    G_j = unfold_j(R_j applied to g along axis j) unfold_j(y)^T, K_j
-    receives alpha * G_j and alpha receives sum_j <G_j, K_j>.
+    With g-hat = U^T g, w-hat = D * g-hat and y-hat = U^T y, x receives
+    U w-hat (R is symmetric). The divided difference of D along axis j is
+    alpha * c_j * D_a * D_b, so with H_j = unfold_j(w-hat) unfold_j(c_j * y-hat)^T,
+    K_j receives alpha * U_j H_j U_j^T and alpha receives
+    euler * sum_j sum_a lambda_j[a] H_j[a, a]. The backward takes 3d mode
+    products.
     """
-    y = apply_tp(r, x.data)
+    y = apply_resolvent(r, x.data)
 
     def backward(g):
-        grads = [apply_tp(r, g)]  # R is symmetric
-        g_alpha = 0.0
-        for j, (k, inv) in enumerate(zip(grams, r.axis_inverses)):
-            gj = _unfold(mode_apply(g, j, inv), j) @ _unfold(y, j).T
-            grads.append(r.alpha * gj)
-            g_alpha += np.sum(gj * k.data)
-        grads.append(np.array(g_alpha))
-        return grads
+        w_hat = r.to_eigenbasis(g)
+        w_hat *= r.diag_weights[..., None]
+        y_hat = r.to_eigenbasis(y)  # recomputed: the op keeps no eigenbasis copy
+        k_bars, g_alpha = [], 0.0
+        for j, (e, c) in enumerate(zip(r.axis_eigs, r.cofactors)):
+            h = _unfold(w_hat, j) @ _unfold(c[..., None] * y_hat, j).T
+            k_bars.append(r.alpha * (e.eigenvectors @ h @ e.eigenvectors.T))
+            g_alpha += e.eigenvalues @ np.diagonal(h)
+        del y_hat  # x_bar last, so that y_hat and x_bar are never alive together
+        return [r.from_eigenbasis(w_hat), *k_bars, np.array(r.euler * g_alpha)]
 
     return custom_op([x, *grams, alpha], y, backward)
 

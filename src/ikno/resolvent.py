@@ -1,16 +1,19 @@
 """Discrete infinite- and finite-order kernel operators on the latent grid.
 
-Three constructions:
+Both infinite-order constructions share one eigen-factored form: with
+K_j = U_j diag(lambda_j) U_j^T and U = U_1 (x) ... (x) U_d, each is
+R = U diag(D) U^T for a weight tensor D on the product eigen-grid.
 
 * Vanilla: the full resolvent (I_M - alpha * K)^-1 with K the Kronecker
-  product of axis Grams, applied via per-axis eigendecompositions and a
-  diagonal reweighting - never materializing an M x M matrix.
-* TP: the Kronecker product of per-axis resolvents (I_N - alpha * K_j)^-1.
-  Not algebraically identical to Vanilla for d >= 2.
+  product of axis Grams, D = 1 / (1 - alpha * prod_j lambda_j).
+* TP: the Kronecker product of per-axis resolvents (I_N - alpha * K_j)^-1,
+  D = prod_j 1 / (1 - alpha * lambda_j). Not algebraically identical to
+  Vanilla for d >= 2.
 * Truncated: the order-p Neumann partial sum I + alpha*K + ... + (alpha*K)^p
   evaluated by Horner recursion.
 
-A dense naive-inverse path doubles as correctness oracle and benchmark foil.
+Neither resolvent ever materializes an M x M matrix. A dense naive-inverse
+path doubles as correctness oracle and benchmark foil.
 """
 
 from __future__ import annotations
@@ -25,20 +28,18 @@ from .tensor_linalg import (
     dense_inverse,
     kron_apply,
     kron_materialize,
-    mode_apply,
     spectral_radius_from_axes,
     sym_eig,
 )
 
 __all__ = [
-    "ResolventVanilla",
-    "ResolventTP",
+    "Resolvent",
     "TruncatedPropagator",
     "ConvergenceReport",
     "build_vanilla",
-    "apply_vanilla",
     "build_tp",
-    "apply_tp",
+    "apply_resolvent",
+    "apply_vanilla",
     "apply_truncated",
     "apply_naive_inverse",
     "convergence_report",
@@ -54,35 +55,36 @@ _DIAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ResolventVanilla:
+class Resolvent:
+    """R = U diag(D) U^T, built by :func:`build_vanilla` or :func:`build_tp`.
+
+    Along axis j the divided difference of D is alpha * c_j * D_a * D_b,
+    where c_j does not vary along axis j: prod_{l != j} lambda_l for
+    vanilla, prod_{l != j} (1 - alpha * lambda_l) for tp. ``cofactors``
+    holds c_j with axis j of size 1. D depends on alpha only through the
+    products alpha * lambda_j, so alpha dD/dalpha = euler * sum_j lambda_j
+    dD/dlambda_j with euler = 1/d (vanilla) or 1 (tp). :func:`ikno.ops_ad.resolvent_ad`
+    builds its gradient from these two.
+    """
+
     axis_eigs: tuple[SymEig, ...]
     alpha: float
-    diag_weights: np.ndarray  # shape (N_1, ..., N_d)
-    neumann_valid: bool  # rho(alpha*K) < 1, i.e. the series interpretation holds
+    diag_weights: np.ndarray  # D, shape (N_1, ..., N_d)
+    neumann_valid: bool  # the Neumann series of R converges
+    cofactors: tuple[np.ndarray, ...]
+    euler: float
 
     @property
     def axis_sizes(self) -> tuple[int, ...]:
         return tuple(e.eigenvalues.size for e in self.axis_eigs)
 
+    def to_eigenbasis(self, t: np.ndarray) -> np.ndarray:
+        """U^T t: d mode products."""
+        return kron_apply([e.eigenvectors.T for e in self.axis_eigs], t)
 
-@dataclass(frozen=True)
-class ResolventTP:
-    axis_eigs: tuple[SymEig, ...]
-    axis_weights: tuple[np.ndarray, ...]  # per-axis 1 / (1 - alpha*lambda)
-    alpha: float
-
-    @property
-    def axis_sizes(self) -> tuple[int, ...]:
-        return tuple(e.eigenvalues.size for e in self.axis_eigs)
-
-    @property
-    def axis_inverses(self) -> tuple[np.ndarray, ...]:
-        """Dense per-axis factors (I - alpha*K_j)^-1, for the tp gradient,
-        oracles and export."""
-        return tuple(
-            (e.eigenvectors * w) @ e.eigenvectors.T
-            for e, w in zip(self.axis_eigs, self.axis_weights)
-        )
+    def from_eigenbasis(self, t: np.ndarray) -> np.ndarray:
+        """U t: d mode products."""
+        return kron_apply([e.eigenvectors for e in self.axis_eigs], t)
 
 
 @dataclass(frozen=True)
@@ -111,53 +113,48 @@ def _check_axes(t: np.ndarray, sizes: tuple[int, ...]) -> None:
         )
 
 
-def _kron_eigenvalues(eigs) -> np.ndarray:
-    """Product-grid eigenvalue tensor of shape (N_1, ..., N_d)."""
-    lam = eigs[0].eigenvalues
-    out = lam
-    for e in eigs[1:]:
-        out = np.multiply.outer(out, e.eigenvalues)
+def _grid_product(vectors) -> np.ndarray:
+    """Outer product of per-axis vectors, shape (len(v_1), ..., len(v_d))."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = np.multiply.outer(out, v)
     return out
 
 
-def build_vanilla(axis_grams, alpha: float) -> ResolventVanilla:
+def _cofactors(factors) -> tuple[np.ndarray, ...]:
+    """c_j = the grid product of the per-axis ``factors`` of every axis but
+    j, with axis j of size 1."""
+    one = np.ones(1)
+    return tuple(
+        _grid_product([one if l == j else f for l, f in enumerate(factors)])
+        for j in range(len(factors))
+    )
+
+
+def build_vanilla(axis_grams, alpha: float) -> Resolvent:
     eigs = tuple(sym_eig(g) for g in axis_grams)
-    lam = _kron_eigenvalues(eigs)
-    denom = 1.0 - alpha * lam
+    lams = [e.eigenvalues for e in eigs]
+    denom = 1.0 - alpha * _grid_product(lams)
     near = np.abs(denom).min()
     if near < _DIAG_TOL:
         raise SingularDiagonalError(
             f"diagonal entry |1 - alpha*prod(lambda)| = {near:.3e} < {_DIAG_TOL}"
         )
     rho = spectral_radius_from_axes(list(eigs), alpha)
-    return ResolventVanilla(
+    return Resolvent(
         axis_eigs=eigs,
         alpha=float(alpha),
         diag_weights=1.0 / denom,
         neumann_valid=bool(rho < 1.0),
+        cofactors=_cofactors(lams),
+        euler=1.0 / len(eigs),
     )
 
 
-def apply_vanilla(r: ResolventVanilla, t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    _check_axes(t, r.axis_sizes)
-    out = t
-    for j, e in enumerate(r.axis_eigs):
-        out = mode_apply(out, j, e.eigenvectors.T)
-    out = out * r.diag_weights[..., None]
-    for j, e in enumerate(r.axis_eigs):
-        out = mode_apply(out, j, e.eigenvectors)
-    return out
-
-
-def build_tp(axis_grams, alpha: float) -> ResolventTP:
-    eigs = []
-    weights = []
+def build_tp(axis_grams, alpha: float) -> Resolvent:
+    eigs, denoms = [], []
     for j, g in enumerate(axis_grams):
-        try:
-            e = sym_eig(np.asarray(g, dtype=np.float64))
-        except Exception as exc:
-            raise SingularAxisError(j, f"axis {j}: {exc}") from exc
+        e = sym_eig(g)
         denom = 1.0 - alpha * e.eigenvalues
         near = float(np.abs(denom).min())
         if near < _DIAG_TOL:
@@ -165,26 +162,27 @@ def build_tp(axis_grams, alpha: float) -> ResolventTP:
                 j, f"axis {j}: |1 - alpha*lambda| = {near:.3e} < {_DIAG_TOL}"
             )
         eigs.append(e)
-        weights.append(1.0 / denom)
-    return ResolventTP(
-        axis_eigs=tuple(eigs), axis_weights=tuple(weights), alpha=float(alpha)
+        denoms.append(denom)
+    rho = max(spectral_radius_from_axes([e], alpha) for e in eigs)
+    return Resolvent(
+        axis_eigs=tuple(eigs),
+        alpha=float(alpha),
+        diag_weights=_grid_product([1.0 / den for den in denoms]),
+        neumann_valid=bool(rho < 1.0),  # every axis's series converges
+        cofactors=_cofactors(denoms),
+        euler=1.0,
     )
 
 
-def apply_tp(r: ResolventTP, t: np.ndarray) -> np.ndarray:
-    # Same factored primitive as the full resolvent: rotate each axis into
-    # its eigenbasis, reweight, rotate back. Keeps the two apply paths
-    # cost-symmetric (2d mode products each).
+def apply_resolvent(r: Resolvent, t: np.ndarray) -> np.ndarray:
+    """R t: rotate into the eigenbasis, scale by D, rotate back (2d mode
+    products for either construction)."""
     t = np.asarray(t, dtype=np.float64)
     _check_axes(t, r.axis_sizes)
-    out = t
-    for j, (e, w) in enumerate(zip(r.axis_eigs, r.axis_weights)):
-        out = mode_apply(out, j, e.eigenvectors.T)
-        shape = [1] * out.ndim
-        shape[j] = w.size
-        out = out * w.reshape(shape)
-        out = mode_apply(out, j, e.eigenvectors)
-    return out
+    return r.from_eigenbasis(r.to_eigenbasis(t) * r.diag_weights[..., None])
+
+
+apply_vanilla = apply_resolvent  # the name the benchmark's oracle check (perfbench/workloads.py) calls
 
 
 def apply_truncated(tp: TruncatedPropagator, t: np.ndarray) -> np.ndarray:
@@ -249,42 +247,48 @@ def inverse_power_partial_sum(axis_grams, alpha: float, n_terms: int, cap: int =
     return total
 
 
-def save_vanilla(out_dir, r: ResolventVanilla) -> None:
-    """Serialize a built operator to the binary tensor format (bit-exact)."""
+def save_vanilla(out_dir, r: Resolvent) -> None:
+    """Serialize a built operator, vanilla or tp, to the binary tensor format
+    (bit-exact)."""
     from .serialize import save_arrays
 
     arrays = {"diag_weights": r.diag_weights}
-    for j, e in enumerate(r.axis_eigs):
+    for j, (e, c) in enumerate(zip(r.axis_eigs, r.cofactors)):
         arrays[f"eigenvalues_{j}"] = e.eigenvalues
         arrays[f"eigenvectors_{j}"] = e.eigenvectors
+        arrays[f"cofactor_{j}"] = c
     save_arrays(
         out_dir,
         arrays,
         meta={
-            "kind": "resolvent-vanilla",
+            "kind": "resolvent",
             "alpha": r.alpha,
             "neumann_valid": r.neumann_valid,
+            "euler": r.euler,
             "dim": len(r.axis_eigs),
         },
     )
 
 
-def load_vanilla(in_dir) -> ResolventVanilla:
+def load_vanilla(in_dir) -> Resolvent:
     from .serialize import load_arrays
 
     arrays, meta = load_arrays(in_dir)
-    if meta.get("kind") != "resolvent-vanilla":
+    if meta.get("kind") != "resolvent":
         raise ValueError(f"not a serialized operator: {meta.get('kind')!r}")
+    dim = int(meta["dim"])
     eigs = tuple(
         SymEig(
             eigenvalues=arrays[f"eigenvalues_{j}"],
             eigenvectors=arrays[f"eigenvectors_{j}"],
         )
-        for j in range(int(meta["dim"]))
+        for j in range(dim)
     )
-    return ResolventVanilla(
+    return Resolvent(
         axis_eigs=eigs,
         alpha=float(meta["alpha"]),
         diag_weights=arrays["diag_weights"],
         neumann_valid=bool(meta["neumann_valid"]),
+        cofactors=tuple(arrays[f"cofactor_{j}"] for j in range(dim)),
+        euler=float(meta["euler"]),
     )

@@ -17,8 +17,7 @@ from .kernels import AxisKernelParams, PointCloud, product_kernel_eval, axis_gra
 from .model import ModelConfig, init_params
 from .resolvent import (
     apply_naive_inverse,
-    apply_tp,
-    apply_vanilla,
+    apply_resolvent,
     build_tp,
     build_vanilla,
     inverse_power_partial_sum,
@@ -113,7 +112,7 @@ def suite_oracle_equivalence(
 
     Alpha alternates between the negative regime [-2, 0) and the positive
     Neumann-valid regime (0, 0.9/rho(K)]. The optional ``tp-as-vanilla``
-    fault swaps the tensor-product apply into the full-resolvent check so
+    fault swaps the tensor-product operator into the full-resolvent check so
     the suite demonstrably catches that substitution.
     """
     rng = Rng64(seed ^ 0x0E0A)
@@ -130,9 +129,9 @@ def suite_oracle_equivalence(
         t = rng.uniform_array(sizes + (2,), -1.0, 1.0)
 
         rv = build_vanilla(grams, alpha)
-        fast = apply_vanilla(rv, t)
+        fast = apply_resolvent(rv, t)
         if inject_fault == "tp-as-vanilla" and d >= 2:
-            fast = apply_tp(build_tp(grams, alpha), t)
+            fast = apply_resolvent(build_tp(grams, alpha), t)
         ref = apply_naive_inverse(grams, alpha, t)
         dev = float(np.abs(fast - ref).max() / max(np.abs(ref).max(), 1.0))
 
@@ -144,7 +143,7 @@ def suite_oracle_equivalence(
         m = int(np.prod(sizes))
         ref_tp = (dense_tp @ t.reshape(m, -1)).reshape(t.shape)
         dev_tp = float(
-            np.abs(apply_tp(rt, t) - ref_tp).max() / max(np.abs(ref_tp).max(), 1.0)
+            np.abs(apply_resolvent(rt, t) - ref_tp).max() / max(np.abs(ref_tp).max(), 1.0)
         )
         if max(dev, dev_tp) > worst:
             worst = max(dev, dev_tp)
@@ -242,16 +241,16 @@ def suite_dimension_split(cases: int = 20, seed: int = 0) -> CheckResult:
         grams = _random_axis_grams(rng, 1)
         alpha = rng.uniform(-2.0, -1e-3)
         t = rng.uniform_array((grams[0].shape[0], 2), -1.0, 1.0)
-        a = apply_vanilla(build_vanilla(grams, alpha), t)
-        b = apply_tp(build_tp(grams, alpha), t)
+        a = apply_resolvent(build_vanilla(grams, alpha), t)
+        b = apply_resolvent(build_tp(grams, alpha), t)
         worst_d1 = max(worst_d1, float(np.abs(a - b).max()))
 
     grams2 = [_WITNESS_GRAM, _WITNESS_GRAM]
     t2 = np.arange(8.0).reshape(2, 2, 2)
     gap = float(
         np.abs(
-            apply_vanilla(build_vanilla(grams2, _WITNESS_ALPHA), t2)
-            - apply_tp(build_tp(grams2, _WITNESS_ALPHA), t2)
+            apply_resolvent(build_vanilla(grams2, _WITNESS_ALPHA), t2)
+            - apply_resolvent(build_tp(grams2, _WITNESS_ALPHA), t2)
         ).max()
     )
     return CheckResult(
@@ -293,31 +292,42 @@ def suite_positive_definite(cases: int = 200, seed: int = 0) -> CheckResult:
 
 def suite_gradient(
     seed: int = 0,
-    cases=(("tp", 2), ("vanilla", 2), ("truncated", 2), ("vanilla", 3), ("tp", 3)),
+    cases=(
+        ("tp", 2, (6,)),
+        ("vanilla", 2, (6,)),
+        ("truncated", 2, (6,)),
+        ("vanilla", 3, (6,)),
+        ("tp", 3, (6,)),
+        ("vanilla", 2, (6, 6, 4)),
+    ),
 ) -> CheckResult:
     """Analytic gradient vs. central finite differences on toy models.
 
-    ``cases`` are (variant, dim) pairs. The d=3 cases cover the Khatri-Rao
-    cross-kernel VJP where each axis meets a product of two other factors,
-    and the tp resolvent VJP with two other axes' factors applied.
+    ``cases`` are (variant, dim, cloud sizes) with one sample of 5 queries
+    per cloud size. The d=3 cases cover the Khatri-Rao cross-kernel VJP
+    where each axis meets a product of two other factors, and the
+    resolvent VJP with two other axes' factors applied. The last case's
+    batch runs as a stacked group of two samples plus a group of one, so
+    the resolvent VJP sees 2*h channels.
     """
     rng = Rng64(seed ^ 0x6AD)
     worst = 0.0
     detail = ""
-    for variant, dim in cases:
+    for variant, dim, sizes in cases:
         cfg = ModelConfig(
             dim=dim, grid_l=4, hidden=8, branches=2, in_channels=1,
             processor="identity", variant=variant,
         )
         pv = init_params(cfg, seed)
         pv.values += rng.uniform_array(pv.size, -0.05, 0.05)
-        cloud = PointCloud(
-            rng.uniform_array((6, dim), -1.0, 1.0),
-            channels=rng.uniform_array((6, 1), -1.0, 1.0),
-        )
-        queries = PointCloud(rng.uniform_array((5, dim), -1.0, 1.0))
-        target = rng.uniform_array((5, 1), -1.0, 1.0)
-        batch = [(cloud, queries, target)]
+        batch = []
+        for n in sizes:
+            cloud = PointCloud(
+                rng.uniform_array((n, dim), -1.0, 1.0),
+                channels=rng.uniform_array((n, 1), -1.0, 1.0),
+            )
+            queries = PointCloud(rng.uniform_array((5, dim), -1.0, 1.0))
+            batch.append((cloud, queries, rng.uniform_array((5, 1), -1.0, 1.0)))
         g = grad_analytic(cfg, pv, batch)
 
         def closure(values, cfg=cfg, pv=pv, batch=batch):
@@ -331,7 +341,7 @@ def suite_gradient(
         dev = float(rel.max()) if mask.any() else 0.0
         if dev > worst:
             worst = dev
-            detail = f"variant={variant} dim={dim} params={pv.size}"
+            detail = f"variant={variant} dim={dim} clouds={sizes} params={pv.size}"
     return CheckResult(
         name="analytic-vs-fd-gradient",
         passed=worst <= 1e-4,

@@ -127,6 +127,13 @@ class TestTrainEval:
         assert main(["train", "--data", str(tmp_path / "nope")]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_unknown_variant_exits_2(self, dataset_dir, tmp_path, capsys):
+        argv = ["train", "--data", str(dataset_dir), "--variant", "nope",
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: unknown variant 'nope'\n"
+        assert not (tmp_path / "run").exists()
+
     def test_train_then_eval(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"
         argv = ["train", "--data", str(dataset_dir), "--variant", "tp",

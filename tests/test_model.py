@@ -15,7 +15,7 @@ from ikno.model import (
     process,
     tokenize,
 )
-from ikno.resolvent import apply_truncated, apply_vanilla, build_vanilla, TruncatedPropagator
+from ikno.resolvent import apply_resolvent, apply_truncated, build_vanilla, TruncatedPropagator
 from ikno.kernels import axis_gram, grid_linspace
 from ikno.training import grad_analytic
 
@@ -167,7 +167,7 @@ class TestEncode:
             ]
             r = build_vanilla(grams, br.alpha)
             x = (kgp @ v_p).reshape(4, 4, cfg.hidden)
-            outs.append(apply_vanilla(r, x).reshape(16, cfg.hidden))
+            outs.append(apply_resolvent(r, x).reshape(16, cfg.hidden))
         fused = np.concatenate(outs, axis=-1)
         ref = fused @ pv.get("enc_fusion.w") + pv.get("enc_fusion.b")
         assert np.abs(encode(cfg, pv, v_p, cloud) - ref).max() <= 1e-9

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ikno.errors import CapExceededError, ShapeMismatchError, SingularAxisError
+from ikno.errors import (
+    CapExceededError,
+    NonSymmetricError,
+    ShapeMismatchError,
+    SingularAxisError,
+)
 from ikno.kernels import AxisKernelParams, axis_gram
 from ikno.resolvent import (
     TruncatedPropagator,
     apply_naive_inverse,
+    apply_resolvent,
     apply_truncated,
-    apply_tp,
-    apply_vanilla,
     build_tp,
     build_vanilla,
     convergence_report,
@@ -42,7 +46,7 @@ class TestBuildVanilla:
         r = build_vanilla([K2, K2], 0.0)
         assert np.allclose(r.diag_weights, 1.0)
         t = np.arange(8.0).reshape(2, 2, 2)
-        assert np.allclose(apply_vanilla(r, t), t)
+        assert np.allclose(apply_resolvent(r, t), t)
 
     def test_scalar_geometric(self):
         r = build_vanilla([np.array([[1.0]])], -0.5)
@@ -64,18 +68,18 @@ class TestBuildVanilla:
         t = np.random.default_rng(8).standard_normal(
             tuple(g.shape[0] for g in grams) + (2,)
         )
-        got = apply_vanilla(build_vanilla(grams, alpha), t)
+        got = apply_resolvent(build_vanilla(grams, alpha), t)
         ref = apply_naive_inverse(grams, alpha, t)
         assert np.abs(got - ref).max() <= 1e-8
 
     def test_zero_tensor(self):
         r = build_vanilla([K2], -1.0)
-        assert np.array_equal(apply_vanilla(r, np.zeros((2, 3))), np.zeros((2, 3)))
+        assert np.array_equal(apply_resolvent(r, np.zeros((2, 3))), np.zeros((2, 3)))
 
     def test_shape_mismatch(self):
         r = build_vanilla([K2], -1.0)
         with pytest.raises(ShapeMismatchError):
-            apply_vanilla(r, np.zeros((3, 1)))
+            apply_resolvent(r, np.zeros((3, 1)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -93,37 +97,47 @@ class TestBuildVanilla:
         assert not r.neumann_valid
 
 
+def materialize(r):
+    """The M x M matrix of a built operator, one unit impulse per channel."""
+    m = int(np.prod(r.axis_sizes))
+    return apply_resolvent(r, np.eye(m).reshape(*r.axis_sizes, m)).reshape(m, m)
+
+
 class TestTP:
     def test_alpha_zero_identity_factors(self):
         r = build_tp([K2, K2], 0.0)
-        for f in r.axis_inverses:
-            assert np.allclose(f, np.eye(2))
+        assert np.allclose(r.diag_weights, 1.0)
+        assert np.allclose(materialize(r), np.eye(4))
 
     def test_d1_matches_vanilla(self):
         grams = random_spd_grams(3, 1)
         alpha = -0.9
         t = np.random.default_rng(4).standard_normal((grams[0].shape[0], 2))
-        a = apply_vanilla(build_vanilla(grams, alpha), t)
-        b = apply_tp(build_tp(grams, alpha), t)
+        a = apply_resolvent(build_vanilla(grams, alpha), t)
+        b = apply_resolvent(build_tp(grams, alpha), t)
         assert np.abs(a - b).max() <= 1e-10
 
     def test_d2_closed_form_factors(self):
         r = build_tp([K2, K2], -1.0)
         want = dense_inverse(np.array([[2.0, 0.5], [0.5, 2.0]]))
-        for f in r.axis_inverses:
-            assert np.abs(f - want).max() <= 1e-12
+        assert np.abs(materialize(r) - np.kron(want, want)).max() <= 1e-12
 
     def test_d2_witness_gap_vs_vanilla(self):
         t = np.zeros((2, 2, 1))
         t[0, 0, 0] = 1.0  # unit impulse
-        a = apply_vanilla(build_vanilla([K2, K2], -1.0), t)
-        b = apply_tp(build_tp([K2, K2], -1.0), t)
+        a = apply_resolvent(build_vanilla([K2, K2], -1.0), t)
+        b = apply_resolvent(build_tp([K2, K2], -1.0), t)
         assert np.abs(a - b).max() > 1e-3
 
     def test_singular_axis_named(self):
         with pytest.raises(SingularAxisError) as err:
             build_tp([K2, np.array([[1.0]])], 1.0)
         assert err.value.axis == 1
+
+    def test_neumann_valid_per_axis(self):
+        # rho(alpha*K_j) = 0.9 on each axis, rho(alpha*K) = 1.35 for vanilla
+        assert build_tp([K2, K2], 0.6).neumann_valid
+        assert not build_vanilla([K2, K2], 0.6).neumann_valid
 
     def test_matches_dense_kron_of_inverses(self):
         grams = random_spd_grams(11, 3, n_max=4)
@@ -135,8 +149,19 @@ class TestTP:
         )
         m = int(np.prod(sizes))
         ref = (dense @ t.reshape(m, 2)).reshape(t.shape)
-        got = apply_tp(build_tp(grams, alpha), t)
+        got = apply_resolvent(build_tp(grams, alpha), t)
         assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("build", [build_vanilla, build_tp])
+class TestBuildErrors:
+    def test_non_symmetric_gram(self, build):
+        with pytest.raises(NonSymmetricError):
+            build([np.array([[1.0, 0.5], [0.0, 1.0]])], -0.5)
+
+    def test_non_square_gram(self, build):
+        with pytest.raises(ShapeMismatchError):
+            build([np.ones((2, 3))], -0.5)
 
 
 class TestTruncated:
@@ -152,7 +177,7 @@ class TestTruncated:
     def test_geometric_decay_to_resolvent(self):
         alpha = 0.6  # rho(alpha*K2) = 0.9
         t = np.array([[1.0], [-0.5]])
-        ref = apply_vanilla(build_vanilla([K2], alpha), t)
+        ref = apply_resolvent(build_vanilla([K2], alpha), t)
         rho = 0.9
         prev = None
         for p in (10, 50, 150):
@@ -238,19 +263,24 @@ class TestLinearityAndSerialization:
         sizes = tuple(g.shape[0] for g in grams)
         t1 = rng.standard_normal(sizes + (2,))
         t2 = rng.standard_normal(sizes + (2,))
-        lhs = apply_vanilla(r, 2.0 * t1 - 3.0 * t2)
-        rhs = 2.0 * apply_vanilla(r, t1) - 3.0 * apply_vanilla(r, t2)
+        lhs = apply_resolvent(r, 2.0 * t1 - 3.0 * t2)
+        rhs = 2.0 * apply_resolvent(r, t1) - 3.0 * apply_resolvent(r, t2)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
     def test_vanilla_round_trip_bit_exact(self, tmp_path):
-        r = build_vanilla([K2, K2], -0.8)
-        save_vanilla(tmp_path / "op", r)
-        r2 = load_vanilla(tmp_path / "op")
-        assert r2.alpha == r.alpha
-        assert r2.neumann_valid == r.neumann_valid
-        assert np.array_equal(r2.diag_weights, r.diag_weights)
-        for a, b in zip(r.axis_eigs, r2.axis_eigs):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-            assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        # one serialized form for the operators of both builders
         t = np.random.default_rng(9).standard_normal((2, 2, 3))
-        assert np.array_equal(apply_vanilla(r, t), apply_vanilla(r2, t))
+        for build in (build_vanilla, build_tp):
+            r = build([K2, K2], -0.8)
+            save_vanilla(tmp_path / build.__name__, r)
+            r2 = load_vanilla(tmp_path / build.__name__)
+            assert r2.alpha == r.alpha
+            assert r2.neumann_valid == r.neumann_valid
+            assert r2.euler == r.euler
+            assert np.array_equal(r2.diag_weights, r.diag_weights)
+            for a, b in zip(r.axis_eigs, r2.axis_eigs):
+                assert np.array_equal(a.eigenvalues, b.eigenvalues)
+                assert np.array_equal(a.eigenvectors, b.eigenvectors)
+            for a, b in zip(r.cofactors, r2.cofactors):
+                assert np.array_equal(a, b)
+            assert np.array_equal(apply_resolvent(r, t), apply_resolvent(r2, t))
