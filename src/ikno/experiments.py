@@ -97,13 +97,6 @@ def prepare_split(ds: Dataset, test_count: int):
 # -- checkpoints -------------------------------------------------------------
 
 
-def _model_config_to_dict(cfg: ModelConfig) -> dict:
-    d = asdict(cfg)
-    if cfg.fixed_window is not None:
-        d["fixed_window"] = asdict(cfg.fixed_window)
-    return d
-
-
 def _model_config_from_dict(d: dict) -> ModelConfig:
     d = dict(d)
     # older checkpoints store nerf_levels = 1, the only encoding level there ever was
@@ -129,7 +122,7 @@ def save_checkpoint(out_dir, spec: RunSpec, pv: ParamVector, state: OptimizerSta
         "kind": "checkpoint",
         "step_done": int(step_done),
         "opt_step": int(state.step),
-        "model": _model_config_to_dict(spec.model),
+        "model": asdict(spec.model),
         "steps": spec.steps,
         "batch_size": spec.batch_size,
         "seed": spec.seed,
@@ -256,9 +249,10 @@ def finite_order_study(
 ) -> dict:
     """Truncated orders p=0..4 vs. both infinite variants, fixed window kernel.
 
-    Every row shares the data, seed, step budget, and the small mlp
-    processor, so the propagator is the only varying factor. The reference
-    trend in the header is context only and explicitly not reproduced.
+    Every row shares the data, seed, step budget, the small mlp processor
+    and the separable window kernel, so the propagator is the only varying
+    factor. The reference trend in the header is context only and
+    explicitly not reproduced.
     """
     window = LinearWindowKernel(radius=0.2, scale=1.0, alpha=-0.15)
     rows = []
@@ -294,7 +288,7 @@ def finite_order_study(
         "report": "finite-order-study",
         "steps": steps,
         "seed": seed,
-        "window": {"radius": 0.2, "scale": 1.0, "alpha": -0.15},
+        "window": asdict(window),
         "reference_trend": {
             "values": STUDY_REFERENCE_TREND,
             "note": (

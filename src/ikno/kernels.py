@@ -32,8 +32,6 @@ __all__ = [
     "linear_window_eval",
     "axis_gram",
     "cross_kernel",
-    "window_cross",
-    "window_axis_gram",
     "grid_linspace",
 ]
 
@@ -71,7 +69,13 @@ class MultiScaleKernelParams:
 
 @dataclass(frozen=True)
 class LinearWindowKernel:
-    """Fixed compactly-supported kernel scale * max(1 - ||x-y||/r, 0)."""
+    """Fixed compactly-supported separable kernel
+    scale * prod_j max(1 - |x_j - y_j| / r, 0), with propagation coefficient
+    alpha. A product of 1-D tents, so its Gram over a product grid is the
+    positive semidefinite Kronecker product of axis Grams. Each axis factor
+    carries scale**(1/d); that split defines the tp construction's per-axis
+    Grams.
+    """
 
     radius: float = 0.2
     scale: float = 1.0
@@ -168,8 +172,12 @@ def product_kernel_eval(axes, x, y) -> float:
 
 
 def linear_window_eval(k: LinearWindowKernel, x, y) -> float:
-    dist = float(np.linalg.norm(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)))
-    return k.scale * max(1.0 - dist / k.radius, 0.0)
+    """Scalar oracle of the separable linear-window kernel."""
+    diff = np.abs(np.asarray(x, dtype=np.float64).ravel() - np.asarray(y, dtype=np.float64).ravel())
+    out = k.scale
+    for dj in diff:
+        out *= max(1.0 - dj / k.radius, 0.0)
+    return float(out)
 
 
 def axis_gram(p: AxisKernelParams, coords: np.ndarray) -> np.ndarray:
@@ -214,22 +222,6 @@ def cross_kernel(axes, rows, cols) -> np.ndarray:
     for j, p in enumerate(axes):
         out *= axis_kernel_matrix(p, r[:, j][:, None] - c[:, j][None, :])
     return out
-
-
-def window_cross(k: LinearWindowKernel, rows, cols) -> np.ndarray:
-    r = _as_points(rows)
-    c = _as_points(cols)
-    diff = r[:, None, :] - c[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    return k.scale * np.maximum(1.0 - dist / k.radius, 0.0)
-
-
-def window_axis_gram(k: LinearWindowKernel, coords: np.ndarray) -> np.ndarray:
-    """1-D linear-window Gram; the separable surrogate used where a
-    Kronecker-factored operator is required."""
-    coords = np.asarray(coords, dtype=np.float64).ravel()
-    dist = np.abs(coords[:, None] - coords[None, :])
-    return k.scale * np.maximum(1.0 - dist / k.radius, 0.0)
 
 
 def grid_linspace(d: int, per_axis: int, lo: float = -1.0, hi: float = 1.0) -> LatentGrid:

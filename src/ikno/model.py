@@ -11,8 +11,9 @@ per-branch amplitude is stored as log(c) so positivity is structural; beta
 and gamma are stored raw (only their magnitudes enter the kernel).
 
 A fixed-window configuration replaces the learnable product kernel with the
-non-learnable Euclidean linear-window kernel and dense latent-grid
-operators; this is the controlled setting of the finite-order study.
+non-learnable separable linear-window kernel, the controlled setting of the
+finite-order study. Only its axis factors and its alpha differ; Grams, cross
+kernels and operators run through the same product-structured path.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .kernels import (
     MultiScaleKernelParams,
     PointCloud,
     grid_linspace,
-    window_axis_gram,
-    window_cross,
 )
 from . import ops_ad
 from .ops_ad import (
@@ -46,7 +45,6 @@ from .ops_ad import (
 )
 from .resolvent import Resolvent
 from .rng import Rng64
-from .tensor_linalg import dense_inverse, kron_materialize
 
 __all__ = [
     "ModelConfig",
@@ -88,6 +86,8 @@ class ModelConfig:
             raise ValueError(f"unknown processor {self.processor!r}")
         if self.variant not in ("vanilla", "tp", "truncated"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.truncation_order < 0:
+            raise ValueError(f"truncation_order must be >= 0, got {self.truncation_order}")
         if self.fixed_window is not None and self.branches != 1:
             raise ValueError("fixed-window configs use a single kernel branch")
 
@@ -253,30 +253,6 @@ def _grid_for(dim: int, grid_l: int) -> LatentGrid:
     return grid_linspace(dim, grid_l)
 
 
-@lru_cache(maxsize=1)  # dense M x M: 128 MB at M = 4096; study configs run one at a time
-def _fixed_operator(config: ModelConfig) -> np.ndarray:
-    """Dense latent-grid operator for fixed-window configs (study scale)."""
-    grid = _grid_for(config.dim, config.grid_l)
-    win = config.fixed_window
-    m = grid.num_points
-    if m > 4096:
-        raise ValueError("fixed-window configs are capped at 4096 grid points")
-    alpha = win.alpha
-    if config.variant == "tp":
-        axis_invs = [
-            dense_inverse(np.eye(len(pts)) - alpha * window_axis_gram(win, pts))
-            for pts in grid.per_axis_points
-        ]
-        return kron_materialize(axis_invs)
-    kgg = window_cross(win, grid.points(), grid.points())
-    if config.variant == "vanilla":
-        return dense_inverse(np.eye(m) - alpha * kgg)
-    op = np.eye(m)
-    for _ in range(config.truncation_order):
-        op = np.eye(m) + alpha * (kgg @ op)
-    return op
-
-
 class _Graph:
     """Forward passes over AD tensors for one parameter vector; parameter
     slices, Grams and resolvents are cached, so a batch's samples share them."""
@@ -300,10 +276,17 @@ class _Graph:
         return self.seg("kernel")[flat_index]
 
     def branch_alpha(self, b: int) -> Tensor:
+        win = self.config.fixed_window
+        if win is not None:
+            return Tensor(win.alpha)
         return self._kernel_scalar(_kernel_offsets(self.config, b)["alpha"])
 
     def axis_factors(self, b: int, dx: np.ndarray, axis: int) -> Tensor:
         """Base-kernel matrix over coordinate differences for one axis."""
+        win = self.config.fixed_window
+        if win is not None:  # the window's scale is spread evenly over the axes
+            scale = win.scale ** (1.0 / self.config.dim)
+            return Tensor(scale * np.maximum(1.0 - np.abs(dx) / win.radius, 0.0))
         o = _kernel_offsets(self.config, b)["base"] + 3 * axis
         logc = self._kernel_scalar(o)
         beta = self._kernel_scalar(o + 1)
@@ -382,15 +365,10 @@ class _Graph:
         batch, m, h = len(clouds), self.grid.num_points, v_p.shape[-1]
         coords = _stacked(clouds, "coords")
         outs = []
-        if cfg.fixed_window is not None:
-            kgp = Tensor(window_cross(cfg.fixed_window, self.grid.points(), coords))
-            op = Tensor(_fixed_operator(cfg))
-            outs.append(op @ block_matmul_ad(kgp, v_p, batch, (1, 0, 1)))
-        else:
-            for b in range(cfg.branches):
-                kgp = self.cross(b, coords)
-                outs.append(self.branch_operator(b, block_matmul_ad(kgp, v_p, batch, (1, 0, 1))))
-        outs = [o.reshape(m * batch, h) for o in outs]
+        for b in range(cfg.branches):
+            kgp = self.cross(b, coords)
+            x = self.branch_operator(b, block_matmul_ad(kgp, v_p, batch, (1, 0, 1)))
+            outs.append(x.reshape(m * batch, h))
         fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
         return fused @ self.seg("enc_fusion.w") + self.seg("enc_fusion.b")
 
@@ -426,15 +404,10 @@ class _Graph:
         bh = batch * v_gp.shape[-1]
         coords = _stacked(queries, "coords")
         outs = []
-        if cfg.fixed_window is not None:
-            op = Tensor(_fixed_operator(cfg))
-            kqg = Tensor(window_cross(cfg.fixed_window, coords, self.grid.points()))
-            outs.append(block_matmul_ad(kqg, op @ v_gp.reshape(m, bh), batch, (0, 1, 0)))
-        else:
-            for b in range(cfg.branches):
-                w = self.branch_operator(b, v_gp).reshape(m, bh)
-                kqg = self.cross(b, coords, transpose=True)
-                outs.append(block_matmul_ad(kqg, w, batch, (0, 1, 0)))
+        for b in range(cfg.branches):
+            w = self.branch_operator(b, v_gp).reshape(m, bh)
+            kqg = self.cross(b, coords, transpose=True)
+            outs.append(block_matmul_ad(kqg, w, batch, (0, 1, 0)))
         fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
         fused = fused @ self.seg("dec_fusion.w") + self.seg("dec_fusion.b")
         mid = gelu(fused @ self.seg("head.w0") + self.seg("head.b0"))

@@ -134,6 +134,13 @@ class TestTrainEval:
         assert capsys.readouterr().err == "error: unknown variant 'nope'\n"
         assert not (tmp_path / "run").exists()
 
+    def test_negative_truncation_order_exits_2(self, dataset_dir, tmp_path, capsys):
+        argv = ["train", "--data", str(dataset_dir), "--variant", "truncated",
+                "--truncation-order", "-1", "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: truncation_order must be >= 0, got -1\n"
+        assert not (tmp_path / "run").exists()
+
     def test_train_then_eval(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"
         argv = ["train", "--data", str(dataset_dir), "--variant", "tp",

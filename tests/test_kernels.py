@@ -14,7 +14,6 @@ from ikno.kernels import (
     grid_linspace,
     linear_window_eval,
     product_kernel_eval,
-    window_cross,
 )
 from ikno.tensor_linalg import kron_materialize, sym_eig
 
@@ -89,17 +88,30 @@ class TestLinearWindow:
     def test_zero_distance(self):
         k = LinearWindowKernel(radius=0.2, scale=1.0, alpha=-0.15)
         assert linear_window_eval(k, [0.3, 0.3], [0.3, 0.3]) == 1.0
+        x = [0.3, -0.1, 0.7]
+        assert linear_window_eval(LinearWindowKernel(scale=2.5), x, x) == 2.5
 
     def test_half_radius(self):
         k = LinearWindowKernel(radius=0.2, scale=1.0, alpha=-0.15)
         assert np.isclose(linear_window_eval(k, [0.1], [0.0]), 0.5)
+        assert np.isclose(linear_window_eval(k, [0.1, 0.0], [0.0, 0.0]), 0.5)
+        # separable: a product of per-axis tents, not a tent of the Euclidean distance
+        assert np.isclose(linear_window_eval(k, [0.1, 0.1], [0.0, 0.0]), 0.25)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.floats(-2, 2), st.floats(-2, 2))
-    def test_compact_support(self, x, y):
+    @given(
+        st.lists(st.floats(-2, 2), min_size=2, max_size=2),
+        st.lists(st.floats(-0.4, 0.4), min_size=2, max_size=2),
+    )
+    def test_compact_support(self, x, offset):
         k = LinearWindowKernel(radius=0.2, scale=1.0, alpha=-0.15)
-        if abs(x - y) >= 0.2:
-            assert linear_window_eval(k, [x], [y]) == 0.0
+        y = [a + o for a, o in zip(x, offset)]
+        value = linear_window_eval(k, x, y)
+        # the support is the box max_j |x_j - y_j| < r
+        if max(abs(a - b) for a, b in zip(x, y)) >= 0.2:
+            assert value == 0.0
+        else:
+            assert 0.0 < value <= 1.0
 
 
 class TestAxisGram:
@@ -201,14 +213,6 @@ class TestCrossKernelAndGrid:
             axis_gram(p, grid.per_axis_points[j]) for j, p in enumerate(axes)
         ]
         assert np.abs(dense - kron_materialize(axis_grams)).max() <= 1e-12
-
-    def test_window_gram_matches_eval(self):
-        k = LinearWindowKernel(radius=0.5, scale=2.0, alpha=-0.15)
-        pts = np.array([[0.0, 0.0], [0.1, 0.2], [0.9, 0.9]])
-        g = window_cross(k, pts, pts)
-        for i in range(3):
-            for j in range(3):
-                assert np.isclose(g[i, j], linear_window_eval(k, pts[i], pts[j]))
 
 
 class TestPointCloud:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ikno.errors import ChannelMismatchError
-from ikno.kernels import PointCloud, cross_kernel
+from ikno.kernels import LinearWindowKernel, PointCloud, cross_kernel, linear_window_eval
 from ikno.model import (
     ModelConfig,
     _np_graph,
@@ -63,6 +63,10 @@ class TestInitParams:
         a = init_params(cfg, 42)
         b = init_params(cfg, 42)
         assert np.array_equal(a.values, b.values)
+
+    def test_negative_truncation_order_rejected(self):
+        with pytest.raises(ValueError, match="truncation_order"):
+            ModelConfig(dim=2, grid_l=4, hidden=8, variant="truncated", truncation_order=-1)
 
     def test_alpha_indices_decode(self):
         cfg = ModelConfig(dim=2, grid_l=4, hidden=8, branches=3)
@@ -194,6 +198,67 @@ class TestCrossKernel:
             assert np.abs(kgp - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=1.0)
             ref_t = cross_kernel(br.axis_params, pts, grid)
             assert np.abs(kqg - ref_t).max(initial=0.0) <= 1e-14 * np.abs(ref_t).max(initial=1.0)
+
+
+def _window_matrix(win, rows, cols):
+    return np.array([[linear_window_eval(win, r, c) for c in cols] for r in rows])
+
+
+def _np_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
+
+
+class TestFixedWindowOracle:
+    """Fixed-window configs against dense operators built entry by entry from
+    the scalar window oracle."""
+
+    WINDOW = LinearWindowKernel(radius=0.9, scale=1.7, alpha=-0.3)
+
+    def dense_operator(self, variant, grid):
+        win, m = self.WINDOW, grid.num_points
+        if variant == "tp":
+            # each axis carries scale**(1/d) of the product kernel's scale
+            axis_win = LinearWindowKernel(win.radius, win.scale ** (1.0 / grid.dim), win.alpha)
+            op = np.ones((1, 1))
+            for pts in grid.per_axis_points:
+                kj = _window_matrix(axis_win, pts[:, None], pts[:, None])
+                op = np.kron(op, np.linalg.inv(np.eye(len(pts)) - win.alpha * kj))
+            return op
+        kgg = _window_matrix(win, grid.points(), grid.points())
+        if variant == "vanilla":
+            return np.linalg.inv(np.eye(m) - win.alpha * kgg)
+        op = np.eye(m)
+        for _ in range(2):
+            op = np.eye(m) + win.alpha * (kgg @ op)
+        return op
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["vanilla", "tp", "truncated"])
+    def test_encode_and_forward_match_dense_oracle(self, variant, dim):
+        cfg = ModelConfig(
+            dim=dim, grid_l=4, hidden=4, branches=1, variant=variant,
+            truncation_order=2, fixed_window=self.WINDOW,
+        )
+        pv = init_params(cfg, 20)
+        pv.values += np.random.default_rng(21).uniform(-0.3, 0.3, pv.size)
+        rng = np.random.default_rng(22)
+        cloud = toy_cloud(rng, 5, dim)
+        queries = rng.uniform(-1, 1, (4, dim))
+        grid = grid_linspace(dim, 4)
+        op = self.dense_operator(variant, grid)
+        kgp = _window_matrix(self.WINDOW, grid.points(), cloud.coords)
+        kqg = _window_matrix(self.WINDOW, queries, grid.points())
+
+        v_p = tokenize(cfg, pv, cloud)
+        v_g = (op @ (kgp @ v_p)) @ pv.get("enc_fusion.w") + pv.get("enc_fusion.b")
+        got = encode(cfg, pv, v_p, cloud)
+        assert np.abs(got - v_g).max() <= 1e-10 * np.abs(v_g).max()
+
+        fused = (kqg @ (op @ v_g)) @ pv.get("dec_fusion.w") + pv.get("dec_fusion.b")
+        mid = _np_gelu(fused @ pv.get("head.w0") + pv.get("head.b0"))
+        ref = mid @ pv.get("head.w1") + pv.get("head.b1")
+        out = forward(cfg, pv, cloud, PointCloud(queries))
+        assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 class TestProcess:
