@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceededError
 from .kernels import AxisKernelParams, axis_gram
 from .resolvent import (
     NAIVE_CAP_DEFAULT,

@@ -99,7 +99,6 @@ _GEN_DEFAULTS = {
     "num_queries": 64,
     "max_mode": 3,
     "solver_res": 65,
-    "num_snapshots": 8,
 }
 
 
@@ -108,10 +107,8 @@ def cmd_gen_data(args) -> int:
     from .data import (
         CSinesSpec,
         PoissonGaussSpec,
-        ToyTrajectorySpec,
         gen_csines,
         gen_poisson_gauss,
-        gen_toy_trajectory,
         save_dataset,
     )
     from .reports import write_report
@@ -128,11 +125,6 @@ def cmd_gen_data(args) -> int:
             num_samples=opts["num_samples"], solver_res=opts["solver_res"],
             num_points=opts["num_points"], num_queries=opts["num_queries"],
             seed=opts["seed"],
-        ))
-    elif kind == "toy-advection":
-        ds = gen_toy_trajectory(ToyTrajectorySpec(
-            num_trajectories=opts["num_samples"], num_points=opts["num_points"],
-            num_stamps=opts["num_snapshots"], seed=opts["seed"],
         ))
     else:
         print(f"error: unknown dataset kind {kind!r}", file=sys.stderr)
@@ -321,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     _add_common(p)
     p.add_argument("--kind", default=argparse.SUPPRESS,
-                   help="csines | poisson-gauss | toy-advection")
+                   help="csines | poisson-gauss")
     for flag in ("num-samples", "num-points", "num-queries", "max-mode",
-                 "solver-res", "num-snapshots"):
+                 "solver-res"):
         p.add_argument(f"--{flag}", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gen_data)
 

@@ -1,13 +1,14 @@
 """Deterministic desk-scale synthetic datasets with independent oracles.
 
-Three generators, all pure functions of their spec (seed included):
+Two generators, both pure functions of their spec (seed included):
 
 * sine-sum Poisson pairs on [-1, 1]^2 with the forcing computed
   analytically (the pair satisfies -lap(u) = a exactly);
 * Gaussian-source Poisson solved by a 5-point finite-difference
-  conjugate-gradient solver;
-* a 1-D constant-velocity periodic advection trajectory for temporal
-  tests (exact analytic snapshots).
+  conjugate-gradient solver.
+
+Every dataset is a tuple of :class:`SampleRecord` and is saved in one
+file layout.
 """
 
 from __future__ import annotations
@@ -26,13 +27,10 @@ __all__ = [
     "Dataset",
     "CSinesSpec",
     "PoissonGaussSpec",
-    "ToyTrajectorySpec",
     "gen_csines",
     "solve_poisson_fd",
     "gen_poisson_gauss",
     "subsample_cloud",
-    "gen_toy_trajectory",
-    "TrajectoryRecord",
     "save_dataset",
     "load_dataset",
 ]
@@ -46,17 +44,10 @@ class SampleRecord:
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    coords: np.ndarray  # (N, d)
-    times: np.ndarray  # (T,)
-    snapshots: np.ndarray  # (T, N)
-
-
-@dataclass(frozen=True)
 class Dataset:
     kind: str
     dim: int
-    samples: tuple
+    samples: tuple[SampleRecord, ...]
     meta: dict
 
 
@@ -306,78 +297,23 @@ def subsample_cloud(source, n: int, rng: Rng64) -> PointCloud:
     return PointCloud(pts[order[:n]])
 
 
-# -- toy advection trajectories ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ToyTrajectorySpec:
-    num_trajectories: int = 16
-    num_modes: int = 2
-    vel_lo: float = -1.0
-    vel_hi: float = 1.0
-    num_stamps: int = 5
-    t_final: float = 1.0
-    num_points: int = 48
-    seed: int = 0
-
-
-def gen_toy_trajectory(spec: ToyTrajectorySpec) -> Dataset:
-    """Exact 1-D periodic advection: u(x, t) = u0(wrap(x - v t))."""
-    root = Rng64(spec.seed)
-    times = np.linspace(0.0, spec.t_final, spec.num_stamps)
-    records = []
-    for s in range(spec.num_trajectories):
-        rng = root.child(s)
-        amps = rng.uniform_array((spec.num_modes,), -1.0, 1.0)
-        v = rng.uniform(spec.vel_lo, spec.vel_hi)
-        coords = rng.uniform_array((spec.num_points, 1), -1.0, 1.0)
-
-        def u0(x):
-            out = np.zeros_like(x)
-            for k in range(spec.num_modes):
-                out += amps[k] * np.sin(np.pi * (k + 1) * x)
-            return out
-
-        snaps = np.stack(
-            [u0(((coords[:, 0] - v * t + 1.0) % 2.0) - 1.0) for t in times]
-        )
-        records.append(TrajectoryRecord(coords=coords, times=times.copy(), snapshots=snaps))
-    return Dataset(
-        kind="toy-advection",
-        dim=1,
-        samples=tuple(records),
-        meta={
-            "seed": spec.seed,
-            "num_stamps": spec.num_stamps,
-            "t_final": spec.t_final,
-            "num_points": spec.num_points,
-        },
-    )
-
-
 # -- dataset files -----------------------------------------------------------
 
 
 def save_dataset(ds: Dataset, out_dir) -> dict:
-    arrays: dict[str, np.ndarray] = {}
-    if ds.kind == "toy-advection":
-        arrays["coords"] = np.stack([r.coords for r in ds.samples])
-        arrays["times"] = np.stack([r.times for r in ds.samples])
-        arrays["snapshots"] = np.stack([r.snapshots for r in ds.samples])
-        channel_names = ["u"]
-    else:
-        arrays["input_coords"] = np.stack([r.input_cloud.coords for r in ds.samples])
-        arrays["input_values"] = np.stack([r.input_cloud.channels for r in ds.samples])
-        arrays["query_coords"] = np.stack([r.queries.coords for r in ds.samples])
-        arrays["target_values"] = np.stack([r.targets for r in ds.samples])
-        channel_names = ["a"]
+    arrays = {
+        "input_coords": np.stack([r.input_cloud.coords for r in ds.samples]),
+        "input_values": np.stack([r.input_cloud.channels for r in ds.samples]),
+        "query_coords": np.stack([r.queries.coords for r in ds.samples]),
+        "target_values": np.stack([r.targets for r in ds.samples]),
+    }
     meta = dict(ds.meta)
     meta.update(
         {
             "kind": ds.kind,
             "dim": ds.dim,
             "num_samples": len(ds.samples),
-            "channel_names": channel_names,
+            "channel_names": ["a"],
         }
     )
     return save_arrays(out_dir, arrays, meta)
@@ -386,23 +322,19 @@ def save_dataset(ds: Dataset, out_dir) -> dict:
 def load_dataset(in_dir) -> Dataset:
     arrays, meta = load_arrays(in_dir)
     kind = meta["kind"]
-    if kind == "toy-advection":
-        samples = tuple(
-            TrajectoryRecord(coords=c, times=t, snapshots=s)
-            for c, t, s in zip(arrays["coords"], arrays["times"], arrays["snapshots"])
+    if kind not in ("csines", "poisson-gauss"):
+        raise ValueError(f"unknown dataset kind {kind!r} in {in_dir}")
+    samples = tuple(
+        SampleRecord(
+            input_cloud=PointCloud(ic, channels=iv),
+            queries=PointCloud(qc),
+            targets=tv,
         )
-    else:
-        samples = tuple(
-            SampleRecord(
-                input_cloud=PointCloud(ic, channels=iv),
-                queries=PointCloud(qc),
-                targets=tv,
-            )
-            for ic, iv, qc, tv in zip(
-                arrays["input_coords"],
-                arrays["input_values"],
-                arrays["query_coords"],
-                arrays["target_values"],
-            )
+        for ic, iv, qc, tv in zip(
+            arrays["input_coords"],
+            arrays["input_values"],
+            arrays["query_coords"],
+            arrays["target_values"],
         )
+    )
     return Dataset(kind=kind, dim=int(meta["dim"]), samples=samples, meta=meta)

@@ -63,10 +63,6 @@ class NonpositiveTauError(IknoError):
     pass
 
 
-class NonMonotoneTimesError(IknoError):
-    pass
-
-
 class NonFiniteLossError(IknoError):
     pass
 

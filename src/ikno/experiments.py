@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .data import Dataset, load_dataset
+from .data import Dataset
 from .errors import EmptyDatasetError
 from .kernels import LinearWindowKernel, PointCloud
 from .model import ModelConfig, ParamVector, init_params, param_layout, _segments
@@ -75,8 +75,6 @@ def prepare_split(ds: Dataset, test_count: int):
     (train_samples, test_samples, cond_stats, tgt_stats) where samples are
     (cloud, queries, target) triples in normalized space.
     """
-    if ds.kind == "toy-advection":
-        raise ValueError("trajectory datasets need pairing; use the library API")
     n = len(ds.samples)
     if test_count <= 0 or test_count >= n:
         raise ValueError(f"test_count must be in (0, {n})")

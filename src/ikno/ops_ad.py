@@ -128,8 +128,8 @@ def mode_apply_ad(x: Tensor, a: Tensor, axis: int) -> Tensor:
     out = mode_apply(x.data, axis, a.data)
 
     def backward(g):
-        gx = mode_apply(g, axis, a.data.T)
-        ga = _unfold(g, axis) @ _unfold(x.data, axis).T
+        gx = mode_apply(g, axis, a.data.T) if x.requires_grad else None
+        ga = _unfold(g, axis) @ _unfold(x.data, axis).T if a.requires_grad else None
         return [gx, ga]
 
     return custom_op([x, a], out, backward)
@@ -144,21 +144,26 @@ def resolvent_ad(r: Resolvent, x: Tensor, grams: list[Tensor], alpha: Tensor) ->
     alpha * c_j * D_a * D_b, so with H_j = unfold_j(w-hat) unfold_j(c_j * y-hat)^T,
     K_j receives alpha * U_j H_j U_j^T and alpha receives
     euler * sum_j sum_a lambda_j[a] H_j[a, a]. The backward takes 3d mode
-    products.
+    products, or 2d when neither the Grams nor alpha need a gradient (a
+    fixed kernel), since only their gradients read y-hat.
     """
     y = apply_resolvent(r, x.data)
 
     def backward(g):
         w_hat = r.to_eigenbasis(g)
         w_hat *= r.diag_weights[..., None]
-        y_hat = r.to_eigenbasis(y)  # recomputed: the op keeps no eigenbasis copy
-        k_bars, g_alpha = [], 0.0
-        for j, (e, c) in enumerate(zip(r.axis_eigs, r.cofactors)):
-            h = _unfold(w_hat, j) @ _unfold(c[..., None] * y_hat, j).T
-            k_bars.append(r.alpha * (e.eigenvectors @ h @ e.eigenvectors.T))
-            g_alpha += e.eigenvalues @ np.diagonal(h)
-        del y_hat  # x_bar last, so that y_hat and x_bar are never alive together
-        return [r.from_eigenbasis(w_hat), *k_bars, np.array(r.euler * g_alpha)]
+        k_bars, g_alpha = [None] * len(grams), 0.0
+        if alpha.requires_grad or any(k.requires_grad for k in grams):
+            y_hat = r.to_eigenbasis(y)  # recomputed: the op keeps no eigenbasis copy
+            for j, (e, c) in enumerate(zip(r.axis_eigs, r.cofactors)):
+                h = _unfold(w_hat, j) @ _unfold(c[..., None] * y_hat, j).T
+                if grams[j].requires_grad:
+                    k_bars[j] = r.alpha * (e.eigenvectors @ h @ e.eigenvectors.T)
+                g_alpha += e.eigenvalues @ np.diagonal(h)
+            del y_hat  # x_bar last, so that y_hat and x_bar are never alive together
+        x_bar = r.from_eigenbasis(w_hat) if x.requires_grad else None
+        a_bar = np.array(r.euler * g_alpha) if alpha.requires_grad else None
+        return [x_bar, *k_bars, a_bar]
 
     return custom_op([x, *grams, alpha], y, backward)
 

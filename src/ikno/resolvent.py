@@ -44,8 +44,8 @@ __all__ = [
     "apply_naive_inverse",
     "convergence_report",
     "inverse_power_partial_sum",
-    "save_vanilla",
-    "load_vanilla",
+    "save_resolvent",
+    "load_resolvent",
     "NAIVE_CAP_DEFAULT",
 ]
 
@@ -247,7 +247,7 @@ def inverse_power_partial_sum(axis_grams, alpha: float, n_terms: int, cap: int =
     return total
 
 
-def save_vanilla(out_dir, r: Resolvent) -> None:
+def save_resolvent(out_dir, r: Resolvent) -> None:
     """Serialize a built operator, vanilla or tp, to the binary tensor format
     (bit-exact)."""
     from .serialize import save_arrays
@@ -270,7 +270,7 @@ def save_vanilla(out_dir, r: Resolvent) -> None:
     )
 
 
-def load_vanilla(in_dir) -> Resolvent:
+def load_resolvent(in_dir) -> Resolvent:
     from .serialize import load_arrays
 
     arrays, meta = load_arrays(in_dir)

@@ -1,10 +1,14 @@
-"""Loss, normalization, temporal targets, gradients, optimizer, metrics.
+"""Loss, normalization, gradients, optimizer, metrics and the training loop.
 
 The analytic gradient runs reverse-mode through the whole model (including
 the kernel parameters and the factored resolvents); the central
 finite-difference routine is the independent oracle it is checked against.
 Batch gradients use the mean-free sum convention: the gradient of the
 summed per-sample relative-L2 loss.
+
+``temporal_target``/``temporal_reconstruct`` convert a future state to a
+direct, residual or derivative target and back. Both datasets are
+steady-state, so no training path uses them yet.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .errors import (
     EmptyDatasetError,
     NonFiniteGradientError,
     NonFiniteLossError,
-    NonMonotoneTimesError,
     NonpositiveTauError,
 )
 from .kernels import PointCloud
@@ -37,7 +40,6 @@ __all__ = [
     "relative_l2_loss",
     "temporal_target",
     "temporal_reconstruct",
-    "all2all_pairs",
     "grad_fd",
     "grad_analytic",
     "loss_and_grad",
@@ -47,7 +49,6 @@ __all__ = [
     "optimizer_step",
     "median_rel_l1",
     "mse_mae",
-    "rollout",
     "TrainConfig",
     "train_model",
     "evaluate",
@@ -159,18 +160,6 @@ def temporal_reconstruct(mode: str, u_now: np.ndarray, prediction: np.ndarray, t
     if mode == "derivative":
         return u_now + tau * prediction
     raise ValueError(f"unknown temporal mode {mode!r}")
-
-
-def all2all_pairs(times) -> list[tuple[int, int, float, float]]:
-    """All (i, j) with t_j > t_i; each entry is (i, j, t_i, tau)."""
-    times = np.asarray(times, dtype=np.float64)
-    if times.size >= 2 and not np.all(np.diff(times) > 0):
-        raise NonMonotoneTimesError("time stamps must be strictly increasing")
-    out = []
-    for i in range(times.size):
-        for j in range(i + 1, times.size):
-            out.append((i, j, float(times[i]), float(times[j] - times[i])))
-    return out
 
 
 # -- gradients ---------------------------------------------------------------
@@ -316,33 +305,6 @@ def mse_mae(preds, truths) -> tuple[float, float]:
     ]
     flat = np.concatenate([d.ravel() for d in diffs])
     return float((flat**2).mean()), float(np.abs(flat).mean())
-
-
-# -- rollout -----------------------------------------------------------------
-
-
-def rollout(strategy: str, step_fn, u0: np.ndarray, times) -> list[tuple[float, np.ndarray]]:
-    """Evolve a state to the final stamp.
-
-    ``step_fn(u_now, t_i, tau) -> u(t_i + tau)`` wraps the trained model
-    (including normalization and temporal-mode reconstruction). Direct jumps
-    straight to the final time; autoregressive chains the smallest step.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    if times.size < 2 or not np.all(np.diff(times) > 0):
-        raise NonMonotoneTimesError("need at least two strictly increasing stamps")
-    if strategy == "direct":
-        t0, tf = float(times[0]), float(times[-1])
-        return [(t0, np.asarray(u0).copy()), (tf, step_fn(u0, t0, tf - t0))]
-    if strategy == "autoregressive":
-        out = [(float(times[0]), np.asarray(u0).copy())]
-        u = u0
-        for i in range(times.size - 1):
-            tau = float(times[i + 1] - times[i])
-            u = step_fn(u, float(times[i]), tau)
-            out.append((float(times[i + 1]), u))
-        return out
-    raise ValueError(f"unknown rollout strategy {strategy!r}")
 
 
 # -- training loop -----------------------------------------------------------

@@ -128,3 +128,18 @@ def test_mode_products_do_not_grow_with_batch(variant):
         loss_and_grad(cfg, pv, batch[:b])
         counts.append(tensor_linalg.mode_apply_count() - before)
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("variant", ["tp", "vanilla"])
+@pytest.mark.parametrize("fixed, expected", [(False, 20), (True, 16)])
+def test_fixed_kernel_backward_skips_kernel_gradients(variant, fixed, expected):
+    # 2d forward products per resolvent (encode and decode), then 3d in the
+    # backward; a fixed window's Grams and alpha need no gradient, so its
+    # backward skips the d rotations of y
+    window = LinearWindowKernel(radius=0.6, scale=1.0, alpha=-0.15) if fixed else None
+    cfg = make_config(variant=variant, processor="mlp", grid_l=8, branches=1, fixed_window=window)
+    pv = make_params(cfg)
+    batch = make_batch(np.random.default_rng(6), cfg.dim, [(6, 4)] * 2)
+    before = tensor_linalg.mode_apply_count()
+    loss_and_grad(cfg, pv, batch)
+    assert tensor_linalg.mode_apply_count() - before == expected

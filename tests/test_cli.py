@@ -56,14 +56,16 @@ class TestGenData:
             )
 
     def test_gen_report_schema_valid(self, tmp_path):
-        assert main(["gen-data", "--kind", "toy-advection", "--num-samples", "2",
-                     "--num-points", "8", "--out", str(tmp_path / "t")]) == 0
+        assert main(["gen-data", "--kind", "csines", "--num-samples", "2",
+                     "--num-points", "8", "--num-queries", "8",
+                     "--out", str(tmp_path / "t")]) == 0
         report = json.loads((tmp_path / "t" / "gen_report.json").read_text())
         validate_report(report)
         assert report["report"] == "gen-data"
 
-    def test_unknown_kind_exits_2(self, tmp_path, capsys):
-        assert main(["gen-data", "--kind", "nope", "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("kind", ["nope", "toy-advection"])
+    def test_unknown_kind_exits_2(self, tmp_path, capsys, kind):
+        assert main(["gen-data", "--kind", kind, "--out", str(tmp_path)]) == 2
         assert "unknown dataset kind" in capsys.readouterr().err
 
     def test_config_file_drives_generation(self, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -6,11 +7,9 @@ import pytest
 from ikno.data import (
     CSinesSpec,
     PoissonGaussSpec,
-    ToyTrajectorySpec,
     bilinear_interp,
     gen_csines,
     gen_poisson_gauss,
-    gen_toy_trajectory,
     load_dataset,
     save_dataset,
     solve_poisson_fd,
@@ -100,6 +99,15 @@ class TestCSines:
         assert back.kind == ds.kind and back.dim == 2
         assert len(back.samples) == 3
         assert np.array_equal(back.samples[0].targets, ds.samples[0].targets)
+
+    def test_load_rejects_unknown_kind(self, tmp_path):
+        save_dataset(gen_csines(CSinesSpec(num_samples=2, num_points=4, num_queries=4)), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["meta"]["kind"] = "toy-advection"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="unknown dataset kind 'toy-advection'"):
+            load_dataset(tmp_path)
 
 
 class TestPoissonFd:
@@ -198,40 +206,3 @@ class TestSubsample:
     def test_continuous_mode_mean(self):
         cloud = subsample_cloud((2, -1.0, 1.0), 1000, Rng64(7))
         assert np.abs(cloud.coords.mean(axis=0)).max() < 0.1
-
-
-class TestToyTrajectory:
-    def test_zero_velocity_constant(self):
-        spec = ToyTrajectorySpec(
-            num_trajectories=1, vel_lo=0.0, vel_hi=0.0, num_stamps=4, seed=8
-        )
-        ds = gen_toy_trajectory(spec)
-        snaps = ds.samples[0].snapshots
-        for t in range(1, snaps.shape[0]):
-            assert np.allclose(snaps[t], snaps[0])
-
-    def test_full_period(self):
-        spec = ToyTrajectorySpec(
-            num_trajectories=1, vel_lo=1.0, vel_hi=1.0, num_stamps=3,
-            t_final=2.0, seed=9,
-        )
-        ds = gen_toy_trajectory(spec)
-        snaps = ds.samples[0].snapshots
-        assert np.abs(snaps[-1] - snaps[0]).max() <= 1e-10
-
-    def test_derivative_target_approximates_advection(self):
-        spec = ToyTrajectorySpec(
-            num_trajectories=1, vel_lo=0.5, vel_hi=0.5, num_stamps=101,
-            t_final=0.1, seed=10, num_modes=1,
-        )
-        ds = gen_toy_trajectory(spec)
-        rec = ds.samples[0]
-        tau = rec.times[1] - rec.times[0]
-        target = (rec.snapshots[1] - rec.snapshots[0]) / tau
-        # single mode: u0 = a sin(pi x); recover a, compare to -v a pi cos(pi x)
-        x = rec.coords[:, 0]
-        u0 = rec.snapshots[0]
-        i = np.argmax(np.abs(np.sin(np.pi * x)))
-        a = u0[i] / np.sin(np.pi * x[i])
-        exact = -0.5 * a * np.pi * np.cos(np.pi * x)
-        assert np.abs(target - exact).max() <= 0.05

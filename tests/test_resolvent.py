@@ -18,8 +18,8 @@ from ikno.resolvent import (
     build_vanilla,
     convergence_report,
     inverse_power_partial_sum,
-    load_vanilla,
-    save_vanilla,
+    load_resolvent,
+    save_resolvent,
 )
 from ikno.tensor_linalg import dense_inverse, kron_materialize
 
@@ -272,8 +272,8 @@ class TestLinearityAndSerialization:
         t = np.random.default_rng(9).standard_normal((2, 2, 3))
         for build in (build_vanilla, build_tp):
             r = build([K2, K2], -0.8)
-            save_vanilla(tmp_path / build.__name__, r)
-            r2 = load_vanilla(tmp_path / build.__name__)
+            save_resolvent(tmp_path / build.__name__, r)
+            r2 = load_resolvent(tmp_path / build.__name__)
             assert r2.alpha == r.alpha
             assert r2.neumann_valid == r.neumann_valid
             assert r2.euler == r.euler

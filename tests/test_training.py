@@ -10,7 +10,6 @@ from ikno.data import CSinesSpec, gen_csines
 from ikno.errors import (
     NonFiniteGradientError,
     NonFiniteLossError,
-    NonMonotoneTimesError,
     NonpositiveTauError,
 )
 from ikno.experiments import RunSpec, load_checkpoint, run_training
@@ -21,7 +20,6 @@ from ikno.training import (
     OptimizerConfig,
     OptimizerState,
     TrainConfig,
-    all2all_pairs,
     batch_loss,
     grad_analytic,
     grad_fd,
@@ -29,7 +27,6 @@ from ikno.training import (
     mse_mae,
     optimizer_step,
     relative_l2_loss,
-    rollout,
     temporal_reconstruct,
     temporal_target,
     train_model,
@@ -110,25 +107,6 @@ class TestTemporal:
     def test_nonpositive_tau(self):
         with pytest.raises(NonpositiveTauError):
             temporal_target("derivative", 1.0, 2.0, 0.0)
-
-
-class TestAll2All:
-    def test_two_stamps(self):
-        pairs = all2all_pairs([0.0, 1.0])
-        assert pairs == [(0, 1, 0.0, 1.0)]
-
-    def test_three_stamps(self):
-        pairs = all2all_pairs([0.0, 1.0, 2.0])
-        taus = [p[3] for p in pairs]
-        assert len(pairs) == 3
-        assert sorted(taus) == [1.0, 1.0, 2.0]
-
-    def test_eleven_stamps(self):
-        assert len(all2all_pairs(np.linspace(0, 1, 11))) == 55
-
-    def test_non_monotone(self):
-        with pytest.raises(NonMonotoneTimesError):
-            all2all_pairs([0.0, 2.0, 1.0])
 
 
 class TestGradFd:
@@ -293,38 +271,6 @@ class TestMedianRelL1:
         mse, mae = mse_mae(preds, truths)
         assert np.isclose(mse, (1.0 + 4.0) / 2)
         assert np.isclose(mae, (1.0 + 2.0) / 2)
-
-
-class TestRollout:
-    def test_single_step_modes_coincide(self):
-        def step_fn(u, t, tau):
-            return u + tau
-
-        times = [0.0, 1.0]
-        direct = rollout("direct", step_fn, np.array([0.0]), times)
-        ar = rollout("autoregressive", step_fn, np.array([0.0]), times)
-        assert np.allclose(direct[-1][1], ar[-1][1])
-
-    def test_constant_dynamics_fixed_point(self):
-        def step_fn(u, t, tau):
-            return u
-
-        times = np.linspace(0.0, 1.0, 5)
-        out = rollout("autoregressive", step_fn, np.array([2.0]), times)
-        for _, state in out:
-            assert np.allclose(state, 2.0)
-
-    def test_ar_vs_direct_both_finite(self):
-        def step_fn(u, t, tau):
-            return u * (1.0 - 0.1 * tau)
-
-        times = np.linspace(0.0, 1.0, 5)
-        direct = rollout("direct", step_fn, np.array([1.0]), times)
-        ar = rollout("autoregressive", step_fn, np.array([1.0]), times)
-        assert np.isfinite(direct[-1][1]).all()
-        assert np.isfinite(ar[-1][1]).all()
-        # four AR quarter-steps vs one direct full step differ but agree loosely
-        assert abs(float(direct[-1][1][0]) - float(ar[-1][1][0])) < 0.1
 
 
 class TestTrainLoop:
