@@ -5,6 +5,11 @@ matmul, elementwise transcendentals, reductions, slicing/reshaping/concat,
 and a hook for custom vector-Jacobian products (used by the Kronecker
 resolvent operators, whose forward passes go through eigendecompositions
 that we never differentiate through directly).
+
+Only tensors that require a gradient record a graph. A result whose inputs
+are all constants keeps no parent links and no VJP closure, so a forward
+pass run without trainable parameters (inference, the finite-difference
+oracle) frees each intermediate array as soon as nothing reads it.
 """
 
 from __future__ import annotations
@@ -34,8 +39,12 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self.grad = None
-        self._parents = parents
-        self._vjp = vjp
+        if self.requires_grad:
+            self._parents = parents
+            self._vjp = vjp
+        else:  # nothing will read the graph: let the inputs and closure go
+            self._parents = ()
+            self._vjp = None
 
     @property
     def shape(self):

@@ -76,10 +76,15 @@ def merge_options(defaults: dict, config: dict, cli: dict) -> dict:
     return merged
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+def _sources(args: argparse.Namespace) -> tuple[dict, dict]:
+    """(config-file options, explicit flags) of a parsed command line."""
     cli = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
     config = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    return merge_options(defaults, config, cli)
+    return config, cli
+
+
+def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+    return merge_options(defaults, *_sources(args))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -100,10 +105,12 @@ _GEN_DEFAULTS = {
     "max_mode": 3,
     "solver_res": 65,
 }
+_GEN_KIND_KEYS = {"csines": ("max_mode",), "poisson-gauss": ("solver_res",)}
 
 
 def cmd_gen_data(args) -> int:
-    opts = _resolve(args, _GEN_DEFAULTS)
+    config, cli = _sources(args)
+    opts = merge_options(_GEN_DEFAULTS, config, cli)
     from .data import (
         CSinesSpec,
         PoissonGaussSpec,
@@ -114,21 +121,27 @@ def cmd_gen_data(args) -> int:
     from .reports import write_report
 
     kind = opts["kind"]
+    if kind not in _GEN_KIND_KEYS:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    foreign = [
+        key.replace("_", "-")
+        for other, keys in _GEN_KIND_KEYS.items() if other != kind
+        for key in keys if key in config or key in cli
+    ]
+    if foreign:
+        raise ValueError(f"{', '.join(foreign)} does not apply to dataset kind {kind!r}")
     if kind == "csines":
         ds = gen_csines(CSinesSpec(
             num_samples=opts["num_samples"], max_mode=opts["max_mode"],
             num_points=opts["num_points"], num_queries=opts["num_queries"],
             seed=opts["seed"],
         ))
-    elif kind == "poisson-gauss":
+    else:
         ds = gen_poisson_gauss(PoissonGaussSpec(
             num_samples=opts["num_samples"], solver_res=opts["solver_res"],
             num_points=opts["num_points"], num_queries=opts["num_queries"],
             seed=opts["seed"],
         ))
-    else:
-        print(f"error: unknown dataset kind {kind!r}", file=sys.stderr)
-        return 2
     out_dir = opts["out"] or f"data-{kind}"
     manifest = save_dataset(ds, out_dir)
     report = {

@@ -106,8 +106,12 @@ def mode_apply(t: np.ndarray, axis: int, a: np.ndarray) -> np.ndarray:
             f"matrix shape {a.shape} incompatible with axis size {t.shape[axis]}"
         )
     _MODE_APPLY_CALLS += 1
-    out = np.tensordot(a, t, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+    # np.moveaxis(np.tensordot(a, t, axes=([1], [axis])), 0, axis), spelled
+    # out: the same one matrix product, without their per-call Python work
+    n, rest = a.shape[0], tuple(k for k in range(t.ndim) if k != axis)
+    out = np.dot(a, t.transpose((axis,) + rest).reshape(n, -1))
+    out = out.reshape((n,) + tuple(t.shape[k] for k in rest))
+    return out.transpose(tuple(range(1, axis + 1)) + (0,) + tuple(range(axis + 1, t.ndim)))
 
 
 def kron_apply(mats: list[np.ndarray], t: np.ndarray) -> np.ndarray:

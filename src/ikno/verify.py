@@ -46,6 +46,7 @@ class CheckResult:
     max_deviation: float
     threshold: float
     detail: str = ""
+    wall_time_s: float = 0.0  # set by run_all
 
     def to_dict(self) -> dict:
         return {
@@ -54,6 +55,7 @@ class CheckResult:
             "max_deviation": float(self.max_deviation),
             "threshold": float(self.threshold),
             "detail": self.detail,
+            "wall_time_s": float(self.wall_time_s),
         }
 
 
@@ -354,13 +356,18 @@ def suite_gradient(
 def run_all(cases: int = 100, seed: int = 0, inject_fault: str | None = None) -> VerifyReport:
     t0 = time.monotonic()
     report = VerifyReport(cases=cases)
-    report.checks = [
-        suite_oracle_equivalence(cases=cases, seed=seed, inject_fault=inject_fault),
-        suite_neumann_convergence(),
-        suite_inverse_power(),
-        suite_dimension_split(seed=seed),
-        suite_positive_definite(seed=seed),
-        suite_gradient(seed=seed),
-    ]
+    suites = (
+        lambda: suite_oracle_equivalence(cases=cases, seed=seed, inject_fault=inject_fault),
+        suite_neumann_convergence,
+        suite_inverse_power,
+        lambda: suite_dimension_split(seed=seed),
+        lambda: suite_positive_definite(seed=seed),
+        lambda: suite_gradient(seed=seed),
+    )
+    for suite in suites:
+        t_check = time.monotonic()
+        check = suite()
+        check.wall_time_s = time.monotonic() - t_check
+        report.checks.append(check)
     report.wall_time_s = time.monotonic() - t0
     return report

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 
 import ikno.model
-from ikno.autodiff import Tensor, concat
+from ikno.autodiff import Tensor, concat, custom_op
 from ikno.kernels import PointCloud
 from ikno.model import ModelConfig, init_params
 from ikno.training import loss_and_grad
@@ -77,3 +77,33 @@ def test_batched_matmul_gradient():
     ((a @ b) * g).sum().backward()
     assert np.allclose(a.grad, g @ b.data.T, rtol=1e-14, atol=0)
     assert np.allclose(b.grad, np.einsum("bij,bik->jk", a.data, g), rtol=1e-13, atol=0)
+
+
+def _chain(a, b):
+    """``*``, ``exp``, ``@`` and a ``custom_op``; returns every result."""
+    m = a * b
+    e = m.exp()
+    p = e @ b.swapaxes(0, 1)
+    c = custom_op([p], 2.0 * p.data, lambda g: [2.0 * g])
+    return m, e, p, c
+
+
+def test_constant_results_keep_no_graph():
+    rng = np.random.default_rng(2)
+    a, b = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))
+    results = _chain(a, b)
+    for t in results:
+        assert not t.requires_grad and t._parents == () and t._vjp is None
+    refs = [weakref.ref(t) for t in results[:-1]]
+    del results
+    assert all(r() is None for r in refs)  # the intermediates went with their graph
+
+
+def test_results_of_a_gradient_input_keep_their_graph():
+    rng = np.random.default_rng(2)
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((3, 4)))
+    m, e, p, c = _chain(a, b)
+    for t, parent in ((m, a), (e, m), (p, e), (c, p)):
+        assert t.requires_grad and t._vjp is not None
+        assert t._parents[0] is parent

@@ -68,6 +68,32 @@ class TestGenData:
         assert main(["gen-data", "--kind", kind, "--out", str(tmp_path)]) == 2
         assert "unknown dataset kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,key,value", [
+        ("poisson-gauss", "max-mode", "0"), ("csines", "solver-res", "3"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_other_kinds_option_exits_2(self, tmp_path, capsys, kind, key, value, source):
+        args = ["gen-data", "--kind", kind, "--num-samples", "1",
+                "--out", str(tmp_path / "d")]
+        if source == "flag":
+            args += [f"--{key}", value]
+        else:
+            cfg = tmp_path / "gen.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert key in err and kind in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("csines", "max-mode", "2"), ("poisson-gauss", "solver-res", "17"),
+    ])
+    def test_own_kinds_option_accepted(self, tmp_path, kind, key, value):
+        assert main(["gen-data", "--kind", kind, "--num-samples", "1",
+                     "--num-points", "8", "--num-queries", "8", f"--{key}", value,
+                     "--out", str(tmp_path / "d")]) == 0
+
     def test_config_file_drives_generation(self, tmp_path):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("kind = csines\nnum-samples = 3\nnum-points = 8\n"
@@ -93,6 +119,9 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         validate_report(report)
         assert report["all_passed"] is True
+        times = [check["wall_time_s"] for check in report["checks"]]
+        assert len(times) == 6 and min(times) >= 0.0
+        assert sum(times) <= report["wall_time_s"]
 
     def test_fault_injection_fails(self, capsys):
         assert main(["verify", "--cases", "5", "--inject-fault",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -374,6 +376,31 @@ class TestForward:
         x = (kgp @ v_p).reshape(4, 4, cfg.hidden)
         ref = apply_truncated(tp, x).reshape(16, cfg.hidden)
         assert np.abs(encode(cfg, pv, v_p, cloud) - ref).max() <= 1e-9
+
+
+class TestForwardMemory:
+    def test_inference_frees_each_cross_kernel(self):
+        """A no-gradient forward keeps no graph, so its intermediates die young.
+
+        At d=2, L=32 one M x n cross kernel is 1024 x 256 float64 = 2 MiB,
+        and the 3 branches make six of them; a forward that held its graph
+        kept all of them (and every other intermediate) to the end.
+        """
+        cfg = ModelConfig(dim=2, grid_l=32, hidden=16, branches=3, processor="mlp",
+                          variant="vanilla")
+        pv = init_params(cfg, 0)
+        rng = np.random.default_rng(0)
+        cloud = toy_cloud(rng, 256, 2)
+        queries = PointCloud(rng.uniform(-1, 1, (256, 2)))
+        forward(cfg, pv, cloud, queries)  # first call fills any lazy state
+        tracemalloc.start()
+        try:
+            out = forward(cfg, pv, cloud, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (256, 1)
+        assert peak < 4 * 1024 * 256 * 8
 
 
 class TestDeadParameterAudit:

@@ -91,6 +91,18 @@ class TestModeApply:
         with pytest.raises(ShapeMismatchError):
             mode_apply(np.zeros((2, 3, 1)), 0, np.eye(3))
 
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 5, 3), (3, 4, 5, 2)])
+    def test_bit_identical_to_tensordot(self, shape):
+        rng = np.random.default_rng(3)
+        t = rng.standard_normal(shape)
+        for axis in range(len(shape) - 1):
+            a = rng.standard_normal((shape[axis], shape[axis]))
+            for x in (t, np.asfortranarray(t)):
+                for mat in (a, a.T):  # C- and F-ordered factors
+                    ref = np.moveaxis(np.tensordot(mat, x, axes=([1], [axis])), 0, axis)
+                    got = mode_apply(x, axis, mat)
+                    assert got.strides == ref.strides and np.array_equal(got, ref)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_commutes_across_axes(self, seed):
