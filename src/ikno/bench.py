@@ -116,6 +116,9 @@ def run_bench(
     skipped and flagged rather than attempted."""
     if warmups < 2 or reps < 5:
         raise ValueError("need >= 2 warmups and >= 5 repetitions")
+    bad = [f"{d}x{n}" for d, n in cases if d < 1 or n < 1]
+    if bad:
+        raise ValueError(f"bad bench case {', '.join(bad)}: dim and n_per_axis must be >= 1")
     report = BenchReport(environment=environment_block())
     rng = np.random.default_rng(seed)
 

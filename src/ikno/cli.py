@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Grammar: ``ikno <command> [--config PATH] [--seed U64] [--out DIR] [flags]``.
-A config file holds ``key = value`` lines (UTF-8) whose keys mirror the
-long flag names; explicit flags override file values, unknown keys are
-rejected. ``IKNO_THREADS`` caps internal parallelism. Every command is
-deterministic given (flags, config file, seed) and exits 0 only on full
-success; reports are schema-validated JSON.
+Grammar: ``ikno <command> [--config PATH] [--option VALUE ...]``.
+Every option of a command is both a long flag and a key of a config
+file, and both parse by the type of the option's default; a boolean
+option is a bare flag. A config file holds ``key = value`` lines (UTF-8);
+explicit flags override file values, unknown keys are rejected.
+``IKNO_THREADS`` caps internal parallelism. Every command is deterministic
+given (flags, config file, seed) and exits 0 only on full success; reports
+are schema-validated JSON.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 __all__ = ["main", "parse_config_file", "merge_options"]
 
@@ -78,39 +81,33 @@ def merge_options(defaults: dict, config: dict, cli: dict) -> dict:
 
 def _sources(args: argparse.Namespace) -> tuple[dict, dict]:
     """(config-file options, explicit flags) of a parsed command line."""
-    cli = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    cli = {k: v for k, v in vars(args).items()
+           if k not in ("command", "func", "defaults", "config")}
     config = parse_config_file(args.config) if getattr(args, "config", None) else {}
     return config, cli
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    return merge_options(defaults, *_sources(args))
+def _resolve(args: argparse.Namespace) -> dict:
+    return merge_options(args.defaults, *_sources(args))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file; flags override")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="RNG seed")
-    p.add_argument("--out", default=argparse.SUPPRESS, help="output directory")
+def _load_samples_or_fail(data):
+    from .data import load_dataset
+
+    if not data or not Path(data).exists():
+        print(f"error: dataset directory not found: {data!r}", file=sys.stderr)
+        return None
+    return load_dataset(data)
 
 
 # -- commands ----------------------------------------------------------------
 
-_GEN_DEFAULTS = {
-    "kind": "csines",
-    "seed": 0,
-    "out": "",
-    "num_samples": 256,
-    "num_points": 64,
-    "num_queries": 64,
-    "max_mode": 3,
-    "solver_res": 65,
-}
 _GEN_KIND_KEYS = {"csines": ("max_mode",), "poisson-gauss": ("solver_res",)}
 
 
 def cmd_gen_data(args) -> int:
     config, cli = _sources(args)
-    opts = merge_options(_GEN_DEFAULTS, config, cli)
+    opts = merge_options(args.defaults, config, cli)
     from .data import (
         CSinesSpec,
         PoissonGaussSpec,
@@ -160,11 +157,8 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-_VERIFY_DEFAULTS = {"seed": 0, "out": "", "cases": 100, "inject_fault": ""}
-
-
 def cmd_verify(args) -> int:
-    opts = _resolve(args, _VERIFY_DEFAULTS)
+    opts = _resolve(args)
     from .reports import write_report
     from .verify import run_all
 
@@ -185,22 +179,14 @@ def cmd_verify(args) -> int:
     return 0
 
 
-_STUDY_DEFAULTS = {
-    "seed": 0, "out": "study-out", "data": "", "steps": 300,
-    "grid_l": 16, "hidden": 16, "test_count": 64, "batch_size": 4,
-}
-
-
 def cmd_finite_order_study(args) -> int:
-    opts = _resolve(args, _STUDY_DEFAULTS)
-    from .data import load_dataset
+    opts = _resolve(args)
     from .experiments import finite_order_study, write_study_csv
     from .reports import write_report
 
-    if not opts["data"] or not Path(opts["data"]).exists():
-        print(f"error: dataset directory not found: {opts['data']!r}", file=sys.stderr)
+    ds = _load_samples_or_fail(opts["data"])
+    if ds is None:
         return 1
-    ds = load_dataset(opts["data"])
     report = finite_order_study(
         ds, steps=opts["steps"], seed=opts["seed"], grid_l=opts["grid_l"],
         hidden=opts["hidden"], test_count=opts["test_count"],
@@ -215,13 +201,8 @@ def cmd_finite_order_study(args) -> int:
     return 0
 
 
-_BENCH_DEFAULTS = {
-    "seed": 0, "out": "", "cases": "1x16,2x16,3x16", "reps": 5, "warmups": 2,
-}
-
-
 def cmd_bench(args) -> int:
-    opts = _resolve(args, _BENCH_DEFAULTS)
+    opts = _resolve(args)
     from .bench import run_bench
     from .reports import write_report
 
@@ -249,32 +230,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "seed": 0, "out": "train-out", "data": "", "variant": "tp",
-    "steps": 0, "epochs": 0, "batch_size": 4, "grid_l": 8, "hidden": 16,
-    "branches": 3, "processor": "mlp", "truncation_order": 1,
-    "lr0": 1e-2, "test_count": 64, "checkpoint_every": 500, "resume": False,
-}
-
-
-def _load_samples_or_fail(data):
-    from .data import load_dataset
-
-    if not data or not Path(data).exists():
-        print(f"error: dataset directory not found: {data!r}", file=sys.stderr)
-        return None
-    return load_dataset(data)
-
-
 def cmd_train(args) -> int:
-    opts = _resolve(args, _TRAIN_DEFAULTS)
+    opts = _resolve(args)
     from .experiments import RunSpec, run_training
     from .model import ModelConfig
-    from .reports import validate_report
 
     ds = _load_samples_or_fail(opts["data"])
     if ds is None:
         return 1
+    if opts["batch_size"] < 1:
+        raise ValueError(f"batch_size must be >= 1, got {opts['batch_size']}")
     n_train = len(ds.samples) - opts["test_count"]
     steps = opts["steps"]
     if steps <= 0:
@@ -291,17 +256,13 @@ def cmd_train(args) -> int:
         checkpoint_every=opts["checkpoint_every"],
     )
     report = run_training(ds, spec, out_dir=opts["out"], resume=opts["resume"])
-    validate_report(report)
     print(f"final metrics: {json.dumps(report['final'])}")
     print(f"checkpoint + metrics in {opts['out']}")
     return 0
 
 
-_EVAL_DEFAULTS = {"seed": 0, "out": "", "data": "", "checkpoint": ""}
-
-
 def cmd_eval(args) -> int:
-    opts = _resolve(args, _EVAL_DEFAULTS)
+    opts = _resolve(args)
     from .experiments import run_eval
     from .reports import write_report
 
@@ -319,59 +280,67 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# -- option table ------------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: dict  # {option: default}; the default's type is the option's type
+    option_help: dict
+
+
+_COMMANDS = {
+    "gen-data": _Command(cmd_gen_data, "generate a synthetic dataset", {
+        "kind": "csines", "seed": 0, "out": "", "num_samples": 256,
+        "num_points": 64, "num_queries": 64, "max_mode": 3, "solver_res": 65,
+    }, {"kind": "csines | poisson-gauss"}),
+    "verify": _Command(cmd_verify, "run the correctness suites", {
+        "seed": 0, "out": "", "cases": 100, "inject_fault": "",
+    }, {"inject_fault": "test hook, e.g. tp-as-vanilla"}),
+    "finite-order-study": _Command(
+        cmd_finite_order_study, "truncation order sweep vs. infinite variants", {
+            "seed": 0, "out": "study-out", "data": "", "steps": 300,
+            "grid_l": 16, "hidden": 16, "test_count": 64, "batch_size": 4,
+        }, {}),
+    "bench": _Command(cmd_bench, "fast-vs-naive resolvent benchmarks", {
+        "seed": 0, "out": "", "cases": "1x16,2x16,3x16", "reps": 5, "warmups": 2,
+    }, {"cases": "comma list of DxN, e.g. 1x16,3x16"}),
+    "train": _Command(cmd_train, "train a model on a generated dataset", {
+        "seed": 0, "out": "train-out", "data": "", "variant": "tp",
+        "steps": 0, "epochs": 0, "batch_size": 4, "grid_l": 8, "hidden": 16,
+        "branches": 3, "processor": "mlp", "truncation_order": 1,
+        "lr0": 1e-2, "test_count": 64, "checkpoint_every": 500, "resume": False,
+    }, {}),
+    "eval": _Command(cmd_eval, "evaluate a checkpoint on the held-out split", {
+        "out": "", "data": "", "checkpoint": "",
+    }, {}),
+}
+_COMMON_HELP = {"seed": "RNG seed", "out": "output directory"}
+
+
+def _flag_type(default) -> Callable[[str], object]:
+    """A flag's value parses as its config-file value does."""
+    def parse(value: str):
+        return _coerce(value, default)
+
+    parse.__name__ = type(default).__name__  # argparse: "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ikno", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("--kind", default=argparse.SUPPRESS,
-                   help="csines | poisson-gauss")
-    for flag in ("num-samples", "num-points", "num-queries", "max-mode",
-                 "solver-res"):
-        p.add_argument(f"--{flag}", type=int, default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("verify", help="run the correctness suites")
-    _add_common(p)
-    p.add_argument("--cases", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--inject-fault", default=argparse.SUPPRESS,
-                   help="test hook, e.g. tp-as-vanilla")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("finite-order-study",
-                       help="truncation order sweep vs. infinite variants")
-    _add_common(p)
-    p.add_argument("--data", default=argparse.SUPPRESS)
-    for flag in ("steps", "grid-l", "hidden", "test-count", "batch-size"):
-        p.add_argument(f"--{flag}", type=int, default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_finite_order_study)
-
-    p = sub.add_parser("bench", help="fast-vs-naive resolvent benchmarks")
-    _add_common(p)
-    p.add_argument("--cases", default=argparse.SUPPRESS,
-                   help="comma list of DxN, e.g. 1x16,3x16")
-    p.add_argument("--reps", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--warmups", type=int, default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("train", help="train a model on a generated dataset")
-    _add_common(p)
-    p.add_argument("--data", default=argparse.SUPPRESS)
-    p.add_argument("--variant", default=argparse.SUPPRESS)
-    p.add_argument("--processor", default=argparse.SUPPRESS)
-    for flag in ("steps", "epochs", "batch-size", "grid-l", "hidden", "branches",
-                 "truncation-order", "test-count", "checkpoint-every"):
-        p.add_argument(f"--{flag}", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--lr0", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--resume", action="store_true", default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the held-out split")
-    _add_common(p)
-    p.add_argument("--data", default=argparse.SUPPRESS)
-    p.add_argument("--checkpoint", default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_eval)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        p.add_argument("--config", help="key = value config file; flags override")
+        for key, default in cmd.options.items():
+            parse = ({"action": "store_true"} if isinstance(default, bool)
+                     else {"type": _flag_type(default)})
+            p.add_argument(f"--{key.replace('_', '-')}", default=argparse.SUPPRESS,
+                           help=cmd.option_help.get(key, _COMMON_HELP.get(key)),
+                           **parse)
+        p.set_defaults(func=cmd.run, defaults=cmd.options)
     return parser
 
 

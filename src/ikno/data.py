@@ -51,6 +51,14 @@ class Dataset:
     meta: dict
 
 
+def _check_sizes(spec) -> None:
+    """A dataset needs a sample, and each sample an input point and a query."""
+    for name in ("num_samples", "num_points", "num_queries"):
+        value = getattr(spec, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 # -- sine-sum Poisson --------------------------------------------------------
 
 
@@ -65,6 +73,7 @@ class CSinesSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_sizes(self)
         if self.max_mode < 1:
             raise ValueError("max_mode must be >= 1")
 
@@ -212,6 +221,7 @@ class PoissonGaussSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_sizes(self)
         if self.solver_res < 17:
             raise ValueError("solver_res must be >= 17")
         if not (0 < self.width_lo <= self.width_hi):

@@ -8,7 +8,6 @@ a resumed run is bit-identical to an uninterrupted one.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -55,6 +54,12 @@ class RunSpec:
     lr0: float = 1e-2
     test_count: int = 64
     checkpoint_every: int = 500
+
+    def __post_init__(self):
+        for name in ("batch_size", "checkpoint_every"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _norm_samples(records, cond_stats: NormStats, tgt_stats: NormStats):
@@ -217,7 +222,9 @@ def run_training(ds: Dataset, spec: RunSpec, out_dir=None, resume: bool = False)
         "final": final,
     }
     if out:
-        (out / "metrics.json").write_text(json.dumps(report, indent=2) + "\n")
+        from .reports import write_report  # jsonschema loads only when a report is written
+
+        write_report(report, out / "metrics.json")
     return report
 
 

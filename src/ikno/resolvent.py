@@ -44,8 +44,6 @@ __all__ = [
     "apply_naive_inverse",
     "convergence_report",
     "inverse_power_partial_sum",
-    "save_resolvent",
-    "load_resolvent",
     "NAIVE_CAP_DEFAULT",
 ]
 
@@ -245,50 +243,3 @@ def inverse_power_partial_sum(axis_grams, alpha: float, n_terms: int, cap: int =
         term = term @ ak_inv
         total -= term
     return total
-
-
-def save_resolvent(out_dir, r: Resolvent) -> None:
-    """Serialize a built operator, vanilla or tp, to the binary tensor format
-    (bit-exact)."""
-    from .serialize import save_arrays
-
-    arrays = {"diag_weights": r.diag_weights}
-    for j, (e, c) in enumerate(zip(r.axis_eigs, r.cofactors)):
-        arrays[f"eigenvalues_{j}"] = e.eigenvalues
-        arrays[f"eigenvectors_{j}"] = e.eigenvectors
-        arrays[f"cofactor_{j}"] = c
-    save_arrays(
-        out_dir,
-        arrays,
-        meta={
-            "kind": "resolvent",
-            "alpha": r.alpha,
-            "neumann_valid": r.neumann_valid,
-            "euler": r.euler,
-            "dim": len(r.axis_eigs),
-        },
-    )
-
-
-def load_resolvent(in_dir) -> Resolvent:
-    from .serialize import load_arrays
-
-    arrays, meta = load_arrays(in_dir)
-    if meta.get("kind") != "resolvent":
-        raise ValueError(f"not a serialized operator: {meta.get('kind')!r}")
-    dim = int(meta["dim"])
-    eigs = tuple(
-        SymEig(
-            eigenvalues=arrays[f"eigenvalues_{j}"],
-            eigenvectors=arrays[f"eigenvectors_{j}"],
-        )
-        for j in range(dim)
-    )
-    return Resolvent(
-        axis_eigs=eigs,
-        alpha=float(meta["alpha"]),
-        diag_weights=arrays["diag_weights"],
-        neumann_valid=bool(meta["neumann_valid"]),
-        cofactors=tuple(arrays[f"cofactor_{j}"] for j in range(dim)),
-        euler=float(meta["euler"]),
-    )

@@ -55,8 +55,8 @@ class SymEig:
     """Eigendecomposition A = U diag(w) U^T with w ascending.
 
     The sign of each eigenvector column is fixed by making its
-    largest-magnitude component positive, so serialized factors are
-    reproducible across runs.
+    largest-magnitude component positive, so the factors, and every
+    operator built from them, are bit-reproducible across runs.
     """
 
     eigenvalues: np.ndarray

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from ikno.cli import main, merge_options, parse_config_file
+from ikno.bench import run_bench
+from ikno.cli import _COMMANDS, _resolve, build_parser, main, merge_options, parse_config_file
 from ikno.reports import validate_report
 
 
@@ -42,6 +43,67 @@ class TestConfigMerging:
     def test_bool_coercion(self):
         merged = merge_options({"resume": False}, {"resume": "true"}, {})
         assert merged["resume"] is True
+
+
+# Every command's options, spelled as flags and config keys. Pinned here so
+# that an option is never added, renamed or dropped unnoticed.
+OPTIONS = {
+    "gen-data": ["kind", "seed", "out", "num-samples", "num-points", "num-queries",
+                 "max-mode", "solver-res"],
+    "verify": ["seed", "out", "cases", "inject-fault"],
+    "finite-order-study": ["seed", "out", "data", "steps", "grid-l", "hidden",
+                           "test-count", "batch-size"],
+    "bench": ["seed", "out", "cases", "reps", "warmups"],
+    "train": ["seed", "out", "data", "variant", "steps", "epochs", "batch-size",
+              "grid-l", "hidden", "branches", "processor", "truncation-order", "lr0",
+              "test-count", "checkpoint-every", "resume"],
+    "eval": ["out", "data", "checkpoint"],
+}
+
+
+def _not_default(default):
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 7
+    if isinstance(default, float):
+        return default * 3 + 0.25
+    return "x" + default
+
+
+class TestOptionTable:
+    def test_option_names_pinned(self):
+        declared = {name: [key.replace("_", "-") for key in cmd.options]
+                    for name, cmd in _COMMANDS.items()}
+        assert declared == OPTIONS
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, keys in OPTIONS.items() for key in keys
+    ])
+    def test_flag_and_config_key_parse_alike(self, tmp_path, command, key):
+        defaults = _COMMANDS[command].options
+        name = key.replace("-", "_")
+        value = _not_default(defaults[name])
+        if isinstance(value, bool):
+            flag, text = [f"--{key}"], str(value).lower()
+        else:
+            flag, text = [f"--{key}", str(value)], str(value)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        from_flag = _resolve(build_parser().parse_args([command, *flag]))
+        from_config = _resolve(build_parser().parse_args([command, "--config", str(cfg)]))
+        assert from_flag == from_config == {**defaults, name: value}
+        assert type(from_flag[name]) is type(from_config[name]) is type(defaults[name])
+
+    def test_eval_has_no_seed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 1\n")
+        assert main(["eval", "--config", str(cfg)]) == 2
+        assert "unknown config keys: seed" in capsys.readouterr().err
 
 
 class TestGenData:
@@ -94,6 +156,14 @@ class TestGenData:
                      "--num-points", "8", "--num-queries", "8", f"--{key}", value,
                      "--out", str(tmp_path / "d")]) == 0
 
+    @pytest.mark.parametrize("kind", ["csines", "poisson-gauss"])
+    @pytest.mark.parametrize("key", ["num-samples", "num-points", "num-queries"])
+    def test_empty_dataset_exits_2(self, tmp_path, capsys, kind, key):
+        assert main(["gen-data", "--kind", kind, f"--{key}", "0",
+                     "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == f"error: {key.replace('-', '_')} must be >= 1, got 0\n"
+        assert not (tmp_path / "d").exists()
+
     def test_config_file_drives_generation(self, tmp_path):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("kind = csines\nnum-samples = 3\nnum-points = 8\n"
@@ -143,6 +213,16 @@ class TestBenchCli:
         assert main(["bench", "--cases", "garbage"]) == 2
         assert "bad --cases" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["0x16", "-1x4", "1x0"])
+    def test_empty_case_exits_2(self, capsys, case):
+        assert main(["bench", "--cases", f"1x4,{case}"]) == 2
+        assert f"bad bench case {case}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [(0, 16), (-1, 4), (1, 0)])
+    def test_run_bench_rejects_empty_case(self, case):
+        with pytest.raises(ValueError, match="bad bench case {}x{}".format(*case)):
+            run_bench(cases=((1, 4), case))
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -170,6 +250,23 @@ class TestTrainEval:
                 "--truncation-order", "-1", "--out", str(tmp_path / "run")]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: truncation_order must be >= 0, got -1\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (["--batch-size", "0", "--steps", "4"], "batch_size must be >= 1, got 0"),
+        (["--checkpoint-every", "0"], "checkpoint_every must be >= 1, got 0"),
+        (["--checkpoint-every", "-1"], "checkpoint_every must be >= 1, got -1"),
+    ], ids=["batch-size-0", "batch-size-0-steps-4", "checkpoint-every-0",
+            "checkpoint-every-neg"])
+    def test_empty_count_exits_2(self, dataset_dir, tmp_path, extra, message):
+        # a subprocess with a timeout: checkpoint-every 0 once trained forever
+        argv = [sys.executable, "-m", "ikno.cli", "train", "--data", str(dataset_dir),
+                "--grid-l", "4", "--hidden", "4", "--branches", "1",
+                "--test-count", "4", "--out", str(tmp_path / "run"), *extra]
+        out = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 2
+        assert out.stderr == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
 
     def test_train_then_eval(self, dataset_dir, tmp_path, capsys):

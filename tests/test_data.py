@@ -184,6 +184,15 @@ class TestPoissonGauss:
         assert np.abs(got - want).max() <= 1e-12
 
 
+class TestSpecSizes:
+    @pytest.mark.parametrize("spec", [CSinesSpec, PoissonGaussSpec])
+    @pytest.mark.parametrize("field", ["num_samples", "num_points", "num_queries"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_size_rejected(self, spec, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+            spec(**{field: value})
+
+
 class TestSubsample:
     def test_full_grid_is_permutation(self):
         grid = LatentGrid(per_axis_points=(np.linspace(-1, 1, 3), np.linspace(-1, 1, 3)))

@@ -18,8 +18,6 @@ from ikno.resolvent import (
     build_vanilla,
     convergence_report,
     inverse_power_partial_sum,
-    load_resolvent,
-    save_resolvent,
 )
 from ikno.tensor_linalg import dense_inverse, kron_materialize
 
@@ -255,7 +253,7 @@ class TestInversePower:
         assert all(b > a for a, b in zip(norms, norms[1:]))
 
 
-class TestLinearityAndSerialization:
+class TestLinearity:
     def test_linearity(self):
         grams = random_spd_grams(5, 2, n_max=4)
         r = build_vanilla(grams, -0.8)
@@ -266,21 +264,3 @@ class TestLinearityAndSerialization:
         lhs = apply_resolvent(r, 2.0 * t1 - 3.0 * t2)
         rhs = 2.0 * apply_resolvent(r, t1) - 3.0 * apply_resolvent(r, t2)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
-
-    def test_vanilla_round_trip_bit_exact(self, tmp_path):
-        # one serialized form for the operators of both builders
-        t = np.random.default_rng(9).standard_normal((2, 2, 3))
-        for build in (build_vanilla, build_tp):
-            r = build([K2, K2], -0.8)
-            save_resolvent(tmp_path / build.__name__, r)
-            r2 = load_resolvent(tmp_path / build.__name__)
-            assert r2.alpha == r.alpha
-            assert r2.neumann_valid == r.neumann_valid
-            assert r2.euler == r.euler
-            assert np.array_equal(r2.diag_weights, r.diag_weights)
-            for a, b in zip(r.axis_eigs, r2.axis_eigs):
-                assert np.array_equal(a.eigenvalues, b.eigenvalues)
-                assert np.array_equal(a.eigenvectors, b.eigenvectors)
-            for a, b in zip(r.cofactors, r2.cofactors):
-                assert np.array_equal(a, b)
-            assert np.array_equal(apply_resolvent(r, t), apply_resolvent(r2, t))

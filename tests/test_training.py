@@ -367,6 +367,13 @@ class TestTrainLoop:
 
 
 class TestRunTraining:
+    @pytest.mark.parametrize("field", ["batch_size", "checkpoint_every"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_spec_rejects_empty_counts(self, field, value):
+        # checkpoint_every 0 once made run_training loop without applying a step
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+            RunSpec(model=ModelConfig(dim=2, grid_l=4, hidden=4), **{field: value})
+
     @pytest.mark.parametrize(
         "target, error, reason",
         [
