@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over float64 ndarrays.
 
-Just enough machinery for the operator network: broadcast arithmetic,
-matmul, elementwise transcendentals, reductions, slicing/reshaping/concat,
-and a hook for custom vector-Jacobian products (used by the Kronecker
-resolvent operators, whose forward passes go through eigendecompositions
-that we never differentiate through directly).
+Just enough machinery for the operator network: broadcast add, subtract,
+multiply and divide, matmul, exp/tanh/sqrt, sums, slicing/reshaping/concat,
+and a hook for custom vector-Jacobian products. The hook serves the ops of
+:mod:`ikno.ops_ad`: each axis kernel factor is one op instead of a chain of
+elementwise nodes, and the Kronecker resolvent operators' forward passes go
+through eigendecompositions that are never differentiated through directly.
 
 Only tensors that require a gradient record a graph. A result whose inputs
 are all constants keeps no parent links and no VJP closure, so a forward
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "constant", "concat", "custom_op"]
+__all__ = ["Tensor", "concat", "custom_op"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -111,9 +112,6 @@ class Tensor:
     def __sub__(self, other):
         return self._binary(other, lambda a, b: a - b, lambda g, a, b: g, lambda g, a, b: -g)
 
-    def __rsub__(self, other):
-        return Tensor(other) - self
-
     def __mul__(self, other):
         return self._binary(
             other, lambda a, b: a * b, lambda g, a, b: g * b, lambda g, a, b: g * a
@@ -129,12 +127,6 @@ class Tensor:
             lambda g, a, b: -g * a / (b * b),
         )
 
-    def __rtruediv__(self, other):
-        return Tensor(other) / self
-
-    def __neg__(self):
-        return self * -1.0
-
     def __matmul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self, other
@@ -147,18 +139,6 @@ class Tensor:
                 b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
         return Tensor(out_data, parents=(a, b), vjp=vjp)
-
-    def __pow__(self, n):
-        if not isinstance(n, (int, float)):
-            raise TypeError("only constant exponents supported")
-        a = self
-        out_data = a.data**n
-
-        def vjp(g):
-            if a.requires_grad:
-                a._accum(g * n * a.data ** (n - 1))
-
-        return Tensor(out_data, parents=(a,), vjp=vjp)
 
     # -- elementwise --------------------------------------------------------
 
@@ -180,9 +160,6 @@ class Tensor:
 
     def sqrt(self):
         return self._unary(np.sqrt, lambda x, y: 0.5 / y)
-
-    def abs(self):
-        return self._unary(np.abs, lambda x, y: np.sign(x))
 
     # -- reductions / shaping -----------------------------------------------
 
@@ -229,13 +206,6 @@ class Tensor:
                 np.add.at(a.grad, idx, g)
 
         return Tensor(out_data, parents=(a,), vjp=vjp)
-
-    def item(self):
-        return float(self.data)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

@@ -240,9 +240,11 @@ def cmd_train(args) -> int:
         return 1
     if opts["batch_size"] < 1:
         raise ValueError(f"batch_size must be >= 1, got {opts['batch_size']}")
+    if opts["epochs"] < 0:
+        raise ValueError(f"epochs must be >= 0, got {opts['epochs']}")
     n_train = len(ds.samples) - opts["test_count"]
-    steps = opts["steps"]
-    if steps <= 0:
+    steps = opts["steps"]  # RunSpec rejects a negative count
+    if steps == 0:
         epochs = opts["epochs"] or 10
         steps = epochs * max(1, -(-n_train // opts["batch_size"]))
     model = ModelConfig(

@@ -56,6 +56,8 @@ class RunSpec:
     checkpoint_every: int = 500
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
         for name in ("batch_size", "checkpoint_every"):
             value = getattr(self, name)
             if value < 1:

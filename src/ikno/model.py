@@ -7,8 +7,10 @@ the optimizer and the finite-difference gradient oracle see a single
 float64 array.
 
 Kernel branches share their parameters between encoder and decoder. The
-per-branch amplitude is stored as log(c) so positivity is structural; beta
-and gamma are stored raw (only their magnitudes enter the kernel).
+``kernel`` segment is (branches, 1 + 3 * dim): row b holds branch b's alpha,
+then (log c, beta, gamma) for each axis. The amplitude is stored as log(c)
+so positivity is structural; beta and gamma are stored raw (only their
+magnitudes enter the kernel).
 
 A fixed-window configuration replaces the learnable product kernel with the
 non-learnable separable linear-window kernel, the controlled setting of the
@@ -38,6 +40,7 @@ from .kernels import (
 )
 from . import ops_ad
 from .ops_ad import (
+    axis_kernel_ad,
     block_matmul_ad,
     khatri_rao_ad,
     resolvent_ad,
@@ -123,7 +126,7 @@ def param_layout(config: ModelConfig) -> "OrderedDict[str, tuple[int, ...]]":
     h, q, d = config.hidden, config.branches, config.dim
     layout: OrderedDict[str, tuple[int, ...]] = OrderedDict()
     if config.kernel_learnable:
-        layout["kernel"] = (q * (1 + 3 * d),)
+        layout["kernel"] = (q, 1 + 3 * d)
     layout["tokenizer.w0"] = (config.token_in, h)
     layout["tokenizer.b0"] = (h,)
     layout["tokenizer.w1"] = (h, h)
@@ -156,11 +159,6 @@ def _segments(layout) -> "OrderedDict[str, tuple[slice, tuple[int, ...]]]":
     return segs
 
 
-def _kernel_offsets(config: ModelConfig, branch: int) -> dict[str, int]:
-    base = branch * (1 + 3 * config.dim)
-    return {"alpha": base, "base": base + 1}
-
-
 def init_params(config: ModelConfig, seed: int) -> ParamVector:
     """Seeded initialization.
 
@@ -178,16 +176,11 @@ def init_params(config: ModelConfig, seed: int) -> ParamVector:
     h, q = config.hidden, config.branches
 
     if config.kernel_learnable:
-        kern = pv.get("kernel")
-        for b in range(q):
-            off = _kernel_offsets(config, b)
-            kern[off["alpha"]] = -1.0
-            base_scale = float(2**b)
-            for j in range(config.dim):
-                o = off["base"] + 3 * j
-                kern[o + 0] = 0.0  # log c = 0 -> c = 1
-                kern[o + 1] = base_scale  # beta
-                kern[o + 2] = base_scale  # gamma
+        kern = pv.get("kernel")  # log c stays 0, so c = 1
+        kern[:, 0] = -1.0
+        base_scale = 2.0 ** np.arange(q)[:, None]
+        kern[:, 2::3] = base_scale  # beta
+        kern[:, 3::3] = base_scale  # gamma
 
     avg = np.concatenate([np.eye(h) / q for _ in range(q)], axis=0)
     for name, shape in layout.items():
@@ -204,19 +197,13 @@ def init_params(config: ModelConfig, seed: int) -> ParamVector:
 
 
 def decode_kernel_params(config: ModelConfig, pv: ParamVector) -> MultiScaleKernelParams:
-    kern = pv.get("kernel")
     branches = []
-    for b in range(config.branches):
-        off = _kernel_offsets(config, b)
-        axes = []
-        for j in range(config.dim):
-            o = off["base"] + 3 * j
-            axes.append(
-                AxisKernelParams(
-                    c=float(np.exp(kern[o])), beta=float(kern[o + 1]), gamma=float(kern[o + 2])
-                )
-            )
-        branches.append(KernelBranch(axis_params=tuple(axes), alpha=float(kern[off["alpha"]])))
+    for row in pv.get("kernel"):
+        axes = tuple(
+            AxisKernelParams(c=float(np.exp(logc)), beta=float(beta), gamma=float(gamma))
+            for logc, beta, gamma in row[1:].reshape(config.dim, 3)
+        )
+        branches.append(KernelBranch(axis_params=axes, alpha=float(row[0])))
     return MultiScaleKernelParams(branches=tuple(branches))
 
 
@@ -224,11 +211,8 @@ def alpha_indices(config: ModelConfig, pv: ParamVector) -> np.ndarray:
     """Flat indices of the per-branch alpha entries (for training clamps)."""
     if not config.kernel_learnable:
         return np.array([], dtype=np.intp)
-    sl, _ = pv.segments["kernel"]
-    return np.array(
-        [sl.start + _kernel_offsets(config, b)["alpha"] for b in range(config.branches)],
-        dtype=np.intp,
-    )
+    sl, (q, width) = pv.segments["kernel"]
+    return sl.start + width * np.arange(q, dtype=np.intp)
 
 
 # -- stages ------------------------------------------------------------------
@@ -272,14 +256,11 @@ class _Graph:
             self._seg_cache[name] = self.params_t[sl].reshape(*shape)
         return self._seg_cache[name]
 
-    def _kernel_scalar(self, flat_index: int) -> Tensor:
-        return self.seg("kernel")[flat_index]
-
     def branch_alpha(self, b: int) -> Tensor:
         win = self.config.fixed_window
         if win is not None:
             return Tensor(win.alpha)
-        return self._kernel_scalar(_kernel_offsets(self.config, b)["alpha"])
+        return self.seg("kernel")[b, 0]
 
     def axis_factors(self, b: int, dx: np.ndarray, axis: int) -> Tensor:
         """Base-kernel matrix over coordinate differences for one axis."""
@@ -287,15 +268,7 @@ class _Graph:
         if win is not None:  # the window's scale is spread evenly over the axes
             scale = win.scale ** (1.0 / self.config.dim)
             return Tensor(scale * np.maximum(1.0 - np.abs(dx) / win.radius, 0.0))
-        o = _kernel_offsets(self.config, b)["base"] + 3 * axis
-        logc = self._kernel_scalar(o)
-        beta = self._kernel_scalar(o + 1)
-        gamma = self._kernel_scalar(o + 2)
-        d = Tensor(dx)
-        absd = Tensor(np.abs(dx))
-        gauss = (-((beta * d) ** 2)).exp()
-        lap = (-(gamma.abs() * absd)).exp()
-        return logc.exp() * (gauss + lap)
+        return axis_kernel_ad(self.seg("kernel")[b, 1 + 3 * axis : 4 + 3 * axis], dx)
 
     def axis_grams(self, b: int) -> list[Tensor]:
         if b not in self._gram_cache:

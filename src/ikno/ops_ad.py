@@ -1,10 +1,16 @@
-"""Differentiable wrappers for the Kronecker-structured kernel operators.
+"""Differentiable wrappers for the axis kernel factors and the
+Kronecker-structured kernel operators, each with a hand-written
+vector-Jacobian product.
 
-The forward passes reuse the numeric routines from :mod:`ikno.resolvent`;
-the backward passes are hand-written vector-Jacobian products. Both
-infinite-order resolvents are R = U diag(D) U^T in the axis eigenbasis, so
-one op with one eigenbasis adjoint serves them, and one prebuilt operator
-per branch serves every forward and backward application.
+Each learnable axis kernel factor c * (exp(-(beta d)^2) + exp(-|gamma| |d|))
+is one op over its (log c, beta, gamma) parameters, whose gradient is three
+reductions against the upstream gradient.
+
+The resolvent forward passes reuse the numeric routines from
+:mod:`ikno.resolvent`. Both infinite-order resolvents are R = U diag(D) U^T
+in the axis eigenbasis, so one op with one eigenbasis adjoint serves them,
+and one prebuilt operator per branch serves every forward and backward
+application.
 
 Grid-cloud cross kernels are Khatri-Rao (column-wise Kronecker) products of
 per-axis factors, so their gradient contracts the upstream gradient with the
@@ -24,6 +30,7 @@ from .tensor_linalg import mode_apply
 __all__ = [
     "build_tp",  # build the operators that the resolvent ops take
     "build_vanilla",
+    "axis_kernel_ad",
     "block_matmul_ad",
     "khatri_rao_ad",
     "mode_apply_ad",
@@ -45,6 +52,33 @@ def _spread(a: np.ndarray, axis: int, ndim: int, transpose: bool) -> np.ndarray:
     if transpose:
         return np.ascontiguousarray(a.T).reshape(a.shape[1], *shape)
     return a.reshape(*shape, a.shape[1])
+
+
+def axis_kernel_ad(theta: Tensor, dx: np.ndarray) -> Tensor:
+    """The base kernel c * (exp(-(beta d)^2) + exp(-|gamma| |d|)) over an
+    array of coordinate differences ``dx``, with theta = (log c, beta, gamma).
+
+    With gauss and lap the two exponentials and g the upstream gradient,
+    log c receives sum(g K), beta -2 beta c sum(g gauss d^2) and gamma
+    -sign(gamma) c sum(g lap |d|), so gamma = 0 receives 0. The arithmetic
+    repeats :func:`ikno.kernels.axis_kernel_matrix` instead of calling it,
+    so that function stays an independent oracle for the cross kernels.
+    """
+    logc, beta, gamma = theta.data
+    absd = np.abs(dx)
+    gauss = np.exp(-((beta * dx) ** 2))
+    lap = np.exp(-(abs(gamma) * absd))
+    c = np.exp(logc)
+    out = c * (gauss + lap)
+
+    def backward(g):
+        return [np.array([
+            np.vdot(g, out),
+            -2.0 * beta * c * np.vdot(g, gauss * (dx * dx)),
+            -np.sign(gamma) * c * np.vdot(g, lap * absd),
+        ])]
+
+    return custom_op([theta], out, backward)
 
 
 def khatri_rao_ad(factors: list[Tensor], transpose: bool = False) -> Tensor:

@@ -9,8 +9,8 @@ R = U diag(D) U^T for a weight tensor D on the product eigen-grid.
 * TP: the Kronecker product of per-axis resolvents (I_N - alpha * K_j)^-1,
   D = prod_j 1 / (1 - alpha * lambda_j). Not algebraically identical to
   Vanilla for d >= 2.
-* Truncated: the order-p Neumann partial sum I + alpha*K + ... + (alpha*K)^p
-  evaluated by Horner recursion.
+* Truncated: the order-p Neumann partial sum I + alpha*K + ... + (alpha*K)^p,
+  evaluated by :func:`ikno.ops_ad.truncated_ad`'s Horner recursion.
 
 Neither resolvent ever materializes an M x M matrix. A dense naive-inverse
 path doubles as correctness oracle and benchmark foil.
@@ -34,15 +34,11 @@ from .tensor_linalg import (
 
 __all__ = [
     "Resolvent",
-    "TruncatedPropagator",
-    "ConvergenceReport",
     "build_vanilla",
     "build_tp",
     "apply_resolvent",
     "apply_vanilla",
-    "apply_truncated",
     "apply_naive_inverse",
-    "convergence_report",
     "inverse_power_partial_sum",
     "NAIVE_CAP_DEFAULT",
 ]
@@ -83,25 +79,6 @@ class Resolvent:
     def from_eigenbasis(self, t: np.ndarray) -> np.ndarray:
         """U t: d mode products."""
         return kron_apply([e.eigenvectors for e in self.axis_eigs], t)
-
-
-@dataclass(frozen=True)
-class TruncatedPropagator:
-    axis_grams: tuple[np.ndarray, ...]
-    alpha: float
-    order: int
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    rho_alpha_k: float
-    abs_alpha_lambda_min: float
-    positive_series_converges: bool
-    inverse_series_converges: bool
 
 
 def _check_axes(t: np.ndarray, sizes: tuple[int, ...]) -> None:
@@ -183,17 +160,6 @@ def apply_resolvent(r: Resolvent, t: np.ndarray) -> np.ndarray:
 apply_vanilla = apply_resolvent  # the name the benchmark's oracle check (perfbench/workloads.py) calls
 
 
-def apply_truncated(tp: TruncatedPropagator, t: np.ndarray) -> np.ndarray:
-    """Horner accumulation s <- t + alpha * K s, repeated ``order`` times."""
-    t = np.asarray(t, dtype=np.float64)
-    sizes = tuple(g.shape[0] for g in tp.axis_grams)
-    _check_axes(t, sizes)
-    s = t
-    for _ in range(tp.order):
-        s = t + tp.alpha * kron_apply(list(tp.axis_grams), s)
-    return s
-
-
 def _check_cap(axis_grams, cap: int) -> int:
     m = 1
     for g in axis_grams:
@@ -213,21 +179,6 @@ def apply_naive_inverse(axis_grams, alpha: float, t: np.ndarray, cap: int = NAIV
     inv = dense_inverse(np.eye(m) - alpha * k)
     h = t.shape[-1]
     return (inv @ t.reshape(m, h)).reshape(t.shape)
-
-
-def convergence_report(axis_grams, alpha: float) -> ConvergenceReport:
-    eigs = [sym_eig(g) for g in axis_grams]
-    rho = spectral_radius_from_axes(eigs, alpha)
-    lam_min = 1.0
-    for e in eigs:
-        lam_min *= e.eigenvalues.min()
-    abs_alpha_lam_min = abs(alpha) * lam_min
-    return ConvergenceReport(
-        rho_alpha_k=float(rho),
-        abs_alpha_lambda_min=float(abs_alpha_lam_min),
-        positive_series_converges=bool(rho < 1.0),
-        inverse_series_converges=bool(abs_alpha_lam_min > 1.0),
-    )
 
 
 def inverse_power_partial_sum(axis_grams, alpha: float, n_terms: int, cap: int = NAIVE_CAP_DEFAULT) -> np.ndarray:

@@ -354,6 +354,8 @@ def suite_gradient(
 
 
 def run_all(cases: int = 100, seed: int = 0, inject_fault: str | None = None) -> VerifyReport:
+    if cases < 1:  # zero random instances would pass every check vacuously
+        raise ValueError(f"cases must be >= 1, got {cases}")
     t0 = time.monotonic()
     report = VerifyReport(cases=cases)
     suites = (

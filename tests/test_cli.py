@@ -10,6 +10,7 @@ import pytest
 from ikno.bench import run_bench
 from ikno.cli import _COMMANDS, _resolve, build_parser, main, merge_options, parse_config_file
 from ikno.reports import validate_report
+from ikno.verify import run_all
 
 
 def _sha(path):
@@ -193,6 +194,18 @@ class TestVerify:
         assert len(times) == 6 and min(times) >= 0.0
         assert sum(times) <= report["wall_time_s"]
 
+    @pytest.mark.parametrize("cases", [0, -1])
+    def test_run_all_rejects_empty_cases(self, cases):
+        with pytest.raises(ValueError, match=f"cases must be >= 1, got {cases}"):
+            run_all(cases=cases)
+
+    def test_zero_cases_exits_2(self, capsys):
+        # zero random instances would report six vacuous passes
+        assert main(["verify", "--cases", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cases must be >= 1, got 0\n"
+        assert "[PASS]" not in captured.out
+
     def test_fault_injection_fails(self, capsys):
         assert main(["verify", "--cases", "5", "--inject-fault",
                      "tp-as-vanilla"]) == 1
@@ -257,8 +270,10 @@ class TestTrainEval:
         (["--batch-size", "0", "--steps", "4"], "batch_size must be >= 1, got 0"),
         (["--checkpoint-every", "0"], "checkpoint_every must be >= 1, got 0"),
         (["--checkpoint-every", "-1"], "checkpoint_every must be >= 1, got -1"),
+        (["--epochs", "-2"], "epochs must be >= 0, got -2"),
+        (["--steps", "-3"], "steps must be >= 0, got -3"),
     ], ids=["batch-size-0", "batch-size-0-steps-4", "checkpoint-every-0",
-            "checkpoint-every-neg"])
+            "checkpoint-every-neg", "epochs-neg", "steps-neg"])
     def test_empty_count_exits_2(self, dataset_dir, tmp_path, extra, message):
         # a subprocess with a timeout: checkpoint-every 0 once trained forever
         argv = [sys.executable, "-m", "ikno.cli", "train", "--data", str(dataset_dir),
@@ -326,9 +341,12 @@ class TestTrainEval:
             main(base + ["--out", str(tmp_path / "part")])
         monkeypatch.setattr(exp, "save_checkpoint", orig)
         # earlier versions stored the fixed single encoding level in the config
+        # and a flat (branches * (1 + 3d),) kernel segment
         manifest = tmp_path / "part" / "checkpoint" / "manifest.json"
         saved = json.loads(manifest.read_text())
         saved["meta"]["model"]["nerf_levels"] = 1
+        assert saved["meta"]["segments"]["kernel"] == [1, 7]
+        saved["meta"]["segments"]["kernel"] = [7]
         manifest.write_text(json.dumps(saved))
         assert main(base + ["--resume", "--out", str(tmp_path / "part")]) == 0
         a = _sha(tmp_path / "full" / "checkpoint" / "params.f64le")

@@ -7,6 +7,7 @@ from ikno.errors import ChannelMismatchError
 from ikno.kernels import LinearWindowKernel, PointCloud, cross_kernel, linear_window_eval
 from ikno.model import (
     ModelConfig,
+    _Graph,
     _np_graph,
     alpha_indices,
     decode_kernel_params,
@@ -17,9 +18,12 @@ from ikno.model import (
     process,
     tokenize,
 )
-from ikno.resolvent import apply_resolvent, apply_truncated, build_vanilla, TruncatedPropagator
+from ikno.autodiff import Tensor
+from ikno.ops_ad import axis_kernel_ad
+from ikno.resolvent import apply_resolvent, build_vanilla
 from ikno.kernels import axis_gram, grid_linspace
-from ikno.training import grad_analytic
+from ikno.tensor_linalg import kron_materialize
+from ikno.training import grad_analytic, grad_fd
 
 
 def toy_config(**kw):
@@ -210,6 +214,33 @@ def _np_gelu(x):
     return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
 
 
+class TestAxisKernelOp:
+    @pytest.mark.parametrize("beta,gamma", [(1.3, 0.7), (-1.3, -0.7), (0.9, 0.0)],
+                             ids=["positive", "negative", "gamma-zero"])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_vjp_matches_finite_differences(self, beta, gamma, n):
+        rng = np.random.default_rng(20)
+        dx = rng.uniform(-1, 1, (4, 1)) - rng.uniform(-1, 1, (1, n))
+        g = rng.standard_normal(dx.shape)
+        theta = np.array([0.3, beta, gamma])
+        t = Tensor(theta, requires_grad=True)
+        (axis_kernel_ad(t, dx) * Tensor(g)).sum().backward()
+        fd = grad_fd(lambda p: float(np.vdot(g, axis_kernel_ad(Tensor(p), dx).data)), theta)
+        assert np.abs(t.grad - fd).max() <= 1e-8 * max(1.0, np.abs(fd).max())
+        if gamma == 0.0:
+            assert t.grad[2] == 0.0
+
+    def test_learnable_factor_is_one_node_over_the_kernel_slice(self):
+        cfg = ModelConfig(dim=2, grid_l=4, hidden=4, branches=2)
+        pv = init_params(cfg, 21)
+        graph = _Graph(cfg, Tensor(pv.values, requires_grad=True), pv)
+        dx = np.linspace(-1, 1, 4)[:, None] - np.array([[0.2, -0.4]])
+        factor = graph.axis_factors(1, dx, 1)
+        (theta,) = factor._parents
+        assert theta._parents == (graph.seg("kernel"),)
+        assert np.array_equal(theta.data, pv.get("kernel")[1, 4:7])
+
+
 class TestFixedWindowOracle:
     """Fixed-window configs against dense operators built entry by entry from
     the scalar window oracle."""
@@ -372,9 +403,12 @@ class TestForward:
         grams = tuple(
             axis_gram(p, grid.per_axis_points[j]) for j, p in enumerate(br.axis_params)
         )
-        tp = TruncatedPropagator(axis_grams=grams, alpha=br.alpha, order=3)
-        x = (kgp @ v_p).reshape(4, 4, cfg.hidden)
-        ref = apply_truncated(tp, x).reshape(16, cfg.hidden)
+        # the dense partial sum sum_{k<=3} (alpha K)^k x
+        ak = br.alpha * kron_materialize(list(grams))
+        term = ref = kgp @ v_p
+        for _ in range(3):
+            term = ak @ term
+            ref = ref + term
         assert np.abs(encode(cfg, pv, v_p, cloud) - ref).max() <= 1e-9
 
 

@@ -8,15 +8,14 @@ from ikno.errors import (
     ShapeMismatchError,
     SingularAxisError,
 )
+from ikno.autodiff import Tensor
 from ikno.kernels import AxisKernelParams, axis_gram
+from ikno.ops_ad import truncated_ad
 from ikno.resolvent import (
-    TruncatedPropagator,
     apply_naive_inverse,
     apply_resolvent,
-    apply_truncated,
     build_tp,
     build_vanilla,
-    convergence_report,
     inverse_power_partial_sum,
 )
 from ikno.tensor_linalg import dense_inverse, kron_materialize
@@ -162,15 +161,18 @@ class TestBuildErrors:
             build([np.ones((2, 3))], -0.5)
 
 
+def truncated(grams, alpha, order, t):
+    """The order-p partial sum through the AD op, over constant tensors."""
+    return truncated_ad(Tensor(t), [Tensor(k) for k in grams], Tensor(alpha), order).data
+
+
 class TestTruncated:
     def test_p0_identity(self):
-        tp = TruncatedPropagator(axis_grams=(K2,), alpha=-0.5, order=0)
         t = np.array([[1.0], [2.0]])
-        assert np.array_equal(apply_truncated(tp, t), t)
+        assert np.array_equal(truncated([K2], -0.5, 0, t), t)
 
     def test_p1_scalar(self):
-        tp = TruncatedPropagator(axis_grams=(np.array([[1.0]]),), alpha=-0.5, order=1)
-        assert np.allclose(apply_truncated(tp, np.array([[1.0]])), [[0.5]])
+        assert np.allclose(truncated([np.array([[1.0]])], -0.5, 1, np.array([[1.0]])), [[0.5]])
 
     def test_geometric_decay_to_resolvent(self):
         alpha = 0.6  # rho(alpha*K2) = 0.9
@@ -179,18 +181,13 @@ class TestTruncated:
         rho = 0.9
         prev = None
         for p in (10, 50, 150):
-            tp = TruncatedPropagator(axis_grams=(K2,), alpha=alpha, order=p)
-            err = np.abs(apply_truncated(tp, t) - ref).max()
+            err = np.abs(truncated([K2], alpha, p, t) - ref).max()
             bound = np.linalg.norm(t) * rho ** (p + 1) / (1 - rho)
             assert err <= bound + 1e-12
             if prev is not None:
                 assert err < prev
             prev = err
         assert prev <= 1e-6
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedPropagator(axis_grams=(K2,), alpha=0.1, order=-1)
 
 
 class TestNaiveInverse:
@@ -202,28 +199,6 @@ class TestNaiveInverse:
         grams = [np.eye(30)] * 3  # M = 27000
         with pytest.raises(CapExceededError):
             apply_naive_inverse(grams, -0.5, np.zeros((30, 30, 30, 1)))
-
-
-class TestConvergenceReport:
-    def test_alpha_zero(self):
-        rep = convergence_report([K2], 0.0)
-        assert rep.rho_alpha_k == 0.0
-        assert rep.positive_series_converges
-        assert not rep.inverse_series_converges
-
-    def test_positive_regime(self):
-        rep = convergence_report([K2], -0.6)
-        assert np.isclose(rep.rho_alpha_k, 0.9)
-        assert rep.positive_series_converges
-        assert np.isclose(rep.abs_alpha_lambda_min, 0.3)
-        assert not rep.inverse_series_converges
-
-    def test_inverse_regime(self):
-        rep = convergence_report([np.diag([2.0, 3.0])], -1.0)
-        assert np.isclose(rep.abs_alpha_lambda_min, 2.0)
-        assert rep.inverse_series_converges
-        assert np.isclose(rep.rho_alpha_k, 3.0)
-        assert not rep.positive_series_converges
 
 
 class TestInversePower:

@@ -374,6 +374,10 @@ class TestRunTraining:
         with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
             RunSpec(model=ModelConfig(dim=2, grid_l=4, hidden=4), **{field: value})
 
+    def test_spec_rejects_negative_steps(self):
+        with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
+            RunSpec(model=ModelConfig(dim=2, grid_l=4, hidden=4), steps=-1)
+
     @pytest.mark.parametrize(
         "target, error, reason",
         [
