@@ -43,7 +43,8 @@ from .ops_ad import (
     axis_kernel_ad,
     block_matmul_ad,
     khatri_rao_ad,
-    resolvent_ad,
+    resolvent_decode_ad,
+    resolvent_encode_ad,
     truncated_ad,
 )
 from .resolvent import Resolvent
@@ -197,6 +198,12 @@ def init_params(config: ModelConfig, seed: int) -> ParamVector:
 
 
 def decode_kernel_params(config: ModelConfig, pv: ParamVector) -> MultiScaleKernelParams:
+    """The learnable kernel branches that ``pv``'s kernel segment encodes."""
+    if not config.kernel_learnable:
+        raise ValueError(
+            "a fixed-window config has no learnable kernel parameters to decode; "
+            "its kernel is config.fixed_window"
+        )
     branches = []
     for row in pv.get("kernel"):
         axes = tuple(
@@ -279,34 +286,39 @@ class _Graph:
             self._gram_cache[b] = grams
         return self._gram_cache[b]
 
-    def cross(self, b: int, pts: np.ndarray, transpose: bool = False) -> Tensor:
-        """K_GP (M, n) between the latent grid and ``pts``, or K_QG = K_GP^T.
-
-        Built from the N_j x n axis factors; the kernel depends on the
-        coordinate difference only through its square and magnitude, so the
-        grid-minus-point factors serve both orientations exactly.
-        """
-        factors = [
+    def cross_factors(self, b: int, pts: np.ndarray) -> list[Tensor]:
+        """The N_j x n axis factors whose Khatri-Rao product is the cross
+        kernel between the latent grid and ``pts``. The kernel depends on
+        the coordinate difference only through its square and magnitude, so
+        the grid-minus-point factors serve both orientations exactly."""
+        return [
             self.axis_factors(b, axis_pts[:, None] - pts[:, j][None, :], j)
             for j, axis_pts in enumerate(self.grid.per_axis_points)
         ]
-        return khatri_rao_ad(factors, transpose)
 
-    def branch_operator(self, b: int, x: Tensor) -> Tensor:
-        """Apply the branch's latent-grid operator to latent features, given
+    def cross(self, b: int, pts: np.ndarray, transpose: bool = False) -> Tensor:
+        """K_GP (M, n) between the latent grid and ``pts``, or K_QG = K_GP^T."""
+        return khatri_rao_ad(self.cross_factors(b, pts), transpose)
+
+    def resolvent_op(self, op, b: int, v: Tensor, pts: np.ndarray, batch: int) -> Tensor:
+        """``op``, :func:`ops_ad.resolvent_encode_ad` or
+        :func:`ops_ad.resolvent_decode_ad`, over the branch's vanilla or tp
+        operator (built once per graph), its cross factors with ``pts``,
+        its Grams and its alpha."""
+        grams, alpha = self.axis_grams(b), self.branch_alpha(b)
+        if b not in self._resolvent_cache:
+            build = ops_ad.build_tp if self.config.variant == "tp" else ops_ad.build_vanilla
+            self._resolvent_cache[b] = build([g.data for g in grams], float(alpha.data))
+        return op(self._resolvent_cache[b], self.cross_factors(b, pts), v, grams, alpha, batch)
+
+    def truncated(self, b: int, x: Tensor) -> Tensor:
+        """Apply the branch's truncated operator to latent features, given
         as (M, B*h) or, in the same memory order, as (M*B, h); the result is
         (N_1, ..., N_d, B*h)."""
-        cfg = self.config
-        sizes = self.grid.axis_sizes
-        xt = x.reshape(*sizes, x.data.size // self.grid.num_points)
+        xt = x.reshape(*self.grid.axis_sizes, x.data.size // self.grid.num_points)
         grams = self.axis_grams(b)
         alpha = self.branch_alpha(b)
-        if cfg.variant == "truncated":
-            return truncated_ad(xt, grams, alpha, cfg.truncation_order)
-        if b not in self._resolvent_cache:
-            build = ops_ad.build_tp if cfg.variant == "tp" else ops_ad.build_vanilla
-            self._resolvent_cache[b] = build([g.data for g in grams], float(alpha.data))
-        return resolvent_ad(self._resolvent_cache[b], xt, grams, alpha)
+        return truncated_ad(xt, grams, alpha, self.config.truncation_order)
 
     # -- pipeline stages --
     #
@@ -339,8 +351,11 @@ class _Graph:
         coords = _stacked(clouds, "coords")
         outs = []
         for b in range(cfg.branches):
-            kgp = self.cross(b, coords)
-            x = self.branch_operator(b, block_matmul_ad(kgp, v_p, batch, (1, 0, 1)))
+            if cfg.variant == "truncated":
+                kgp = self.cross(b, coords)
+                x = self.truncated(b, block_matmul_ad(kgp, v_p, batch, (1, 0, 1)))
+            else:
+                x = self.resolvent_op(resolvent_encode_ad, b, v_p, coords, batch)
             outs.append(x.reshape(m * batch, h))
         fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
         return fused @ self.seg("enc_fusion.w") + self.seg("enc_fusion.b")
@@ -378,9 +393,12 @@ class _Graph:
         coords = _stacked(queries, "coords")
         outs = []
         for b in range(cfg.branches):
-            w = self.branch_operator(b, v_gp).reshape(m, bh)
-            kqg = self.cross(b, coords, transpose=True)
-            outs.append(block_matmul_ad(kqg, w, batch, (0, 1, 0)))
+            if cfg.variant == "truncated":
+                w = self.truncated(b, v_gp).reshape(m, bh)
+                kqg = self.cross(b, coords, transpose=True)
+                outs.append(block_matmul_ad(kqg, w, batch, (0, 1, 0)))
+            else:
+                outs.append(self.resolvent_op(resolvent_decode_ad, b, v_gp, coords, batch))
         fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
         fused = fused @ self.seg("dec_fusion.w") + self.seg("dec_fusion.b")
         mid = gelu(fused @ self.seg("head.w0") + self.seg("head.b0"))

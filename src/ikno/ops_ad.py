@@ -6,17 +6,21 @@ Each learnable axis kernel factor c * (exp(-(beta d)^2) + exp(-|gamma| |d|))
 is one op over its (log c, beta, gamma) parameters, whose gradient is three
 reductions against the upstream gradient.
 
-The resolvent forward passes reuse the numeric routines from
-:mod:`ikno.resolvent`. Both infinite-order resolvents are R = U diag(D) U^T
-in the axis eigenbasis, so one op with one eigenbasis adjoint serves them,
-and one prebuilt operator per branch serves every forward and backward
-application.
-
 Grid-cloud cross kernels are Khatri-Rao (column-wise Kronecker) products of
 per-axis factors, so their gradient contracts the upstream gradient with the
 other axes' factors and never differentiates through an M x n array of
 exponentials. A stacked batch meets its cross kernels through per-sample
 block products, so the resolvents see the whole batch as extra channels.
+
+Both infinite-order resolvents are R = U diag(D) U^T in the axis eigenbasis
+of a prebuilt :class:`ikno.resolvent.Resolvent`, and U^T KR(A_1, ..., A_d)
+= KR(U_1^T A_1, ..., U_d^T A_d) (the mixed-product rule). So the encoder's
+R K_GP V and the decoder's K_QG R v are one op each, for vanilla and tp.
+The rotation on the cross-kernel side runs on the N_j x n factors, and the
+latent grid is rotated once per direction: d mode products in the forward
+pass and d in the backward pass. One prebuilt operator per branch serves
+both ops. The truncated Horner recursion has no eigenbasis, so it meets the
+Khatri-Rao cross kernels through the block products.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, custom_op
-from .resolvent import Resolvent, apply_resolvent, build_tp, build_vanilla
+from .resolvent import Resolvent, build_tp, build_vanilla
 from .tensor_linalg import mode_apply
 
 __all__ = [
@@ -34,7 +38,8 @@ __all__ = [
     "block_matmul_ad",
     "khatri_rao_ad",
     "mode_apply_ad",
-    "resolvent_ad",
+    "resolvent_decode_ad",
+    "resolvent_encode_ad",
     "truncated_ad",
 ]
 
@@ -81,6 +86,41 @@ def axis_kernel_ad(theta: Tensor, dx: np.ndarray) -> Tensor:
     return custom_op([theta], out, backward)
 
 
+def _khatri_rao(mats: list[np.ndarray], transpose: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The Khatri-Rao product of (N_j, n) factors, (M, n) or its
+    C-contiguous (n, M) transpose, with the broadcastable factor views that
+    :func:`_khatri_rao_vjp` reads."""
+    d = len(mats)
+    n = mats[0].shape[1]
+    m = int(np.prod([a.shape[0] for a in mats]))
+    spread = [_spread(a, j, d, transpose) for j, a in enumerate(mats)]
+    out = spread[0]
+    for f in spread[1:]:
+        out = out * f
+    # explicit shapes: reshape(-1, n) is ambiguous for an empty cloud
+    return np.ascontiguousarray(out.reshape((n, m) if transpose else (m, n))), spread
+
+
+def _khatri_rao_vjp(g: np.ndarray, spread: list[np.ndarray], transpose: bool) -> list[np.ndarray]:
+    """The (N_j, n) factor gradients of a Khatri-Rao product whose upstream
+    gradient is ``g``: reshape it to the grid, multiply by the other axes'
+    factors and sum over their axes."""
+    d = len(spread)
+    sizes = tuple(f.shape[1 + j if transpose else j] for j, f in enumerate(spread))
+    n = spread[0].shape[0 if transpose else -1]
+    gt = g.reshape((n, *sizes) if transpose else (*sizes, n))
+    grid_axes = [1 + j if transpose else j for j in range(d)]
+    grads = []
+    for j in range(d):
+        t = gt
+        for l in range(d):
+            if l != j:
+                t = t * spread[l]
+        gj = t.sum(axis=tuple(a for l, a in enumerate(grid_axes) if l != j))
+        grads.append(gj.T if transpose else gj)
+    return grads
+
+
 def khatri_rao_ad(factors: list[Tensor], transpose: bool = False) -> Tensor:
     """Column-wise Kronecker (Khatri-Rao) product of per-axis factors.
 
@@ -91,32 +131,8 @@ def khatri_rao_ad(factors: list[Tensor], transpose: bool = False) -> Tensor:
     The backward pass reshapes the upstream gradient to the grid, multiplies
     it by the other axes' factors and sums over their axes, giving N_j x n.
     """
-    mats = [f.data for f in factors]
-    d = len(mats)
-    sizes = tuple(a.shape[0] for a in mats)
-    n = mats[0].shape[1]
-    m = int(np.prod(sizes))
-    spread = [_spread(a, j, d, transpose) for j, a in enumerate(mats)]
-    out = spread[0]
-    for f in spread[1:]:
-        out = out * f
-    # explicit shapes: reshape(-1, n) is ambiguous for an empty cloud
-    out = np.ascontiguousarray(out.reshape((n, m) if transpose else (m, n)))
-    grid_axes = [1 + j if transpose else j for j in range(d)]
-
-    def backward(g):
-        gt = g.reshape((n, *sizes) if transpose else (*sizes, n))
-        grads = []
-        for j in range(d):
-            t = gt
-            for l in range(d):
-                if l != j:
-                    t = t * spread[l]
-            gj = t.sum(axis=tuple(a for l, a in enumerate(grid_axes) if l != j))
-            grads.append(gj.T if transpose else gj)
-        return grads
-
-    return custom_op(list(factors), out, backward)
+    out, spread = _khatri_rao([f.data for f in factors], transpose)
+    return custom_op(list(factors), out, lambda g: _khatri_rao_vjp(g, spread, transpose))
 
 
 def _blocks(x: np.ndarray, batch: int, axis: int) -> np.ndarray:
@@ -169,37 +185,129 @@ def mode_apply_ad(x: Tensor, a: Tensor, axis: int) -> Tensor:
     return custom_op([x, a], out, backward)
 
 
-def resolvent_ad(r: Resolvent, x: Tensor, grams: list[Tensor], alpha: Tensor) -> Tensor:
-    """R = U diag(D) U^T applied to x through ``r``, the vanilla or tp
-    operator built from the values of ``grams`` and ``alpha``.
+def _eigen_factors(r: Resolvent, factors: list[Tensor]) -> list[np.ndarray]:
+    """U_j^T A_j for each (N_j, n) axis factor A_j: by the mixed-product rule
+    U^T KR(A_1, ..., A_d) = KR(U_1^T A_1, ..., U_d^T A_d), so a cross kernel
+    enters the eigenbasis through its small factors, not the grid."""
+    return [e.eigenvectors.T @ f.data for e, f in zip(r.axis_eigs, factors)]
 
-    With g-hat = U^T g, w-hat = D * g-hat and y-hat = U^T y, x receives
-    U w-hat (R is symmetric). The divided difference of D along axis j is
-    alpha * c_j * D_a * D_b, so with H_j = unfold_j(w-hat) unfold_j(c_j * y-hat)^T,
-    K_j receives alpha * U_j H_j U_j^T and alpha receives
-    euler * sum_j sum_a lambda_j[a] H_j[a, a]. The backward takes 3d mode
-    products, or 2d when neither the Grams nor alpha need a gradient (a
-    fixed kernel), since only their gradients read y-hat.
+
+def _factor_grads(r: Resolvent, g_hat: np.ndarray, spread, transpose: bool) -> list[np.ndarray]:
+    """A_j's gradient U_j * (the Khatri-Rao VJP of g-hat), from the gradient
+    g-hat of the rotated cross kernel U^T K."""
+    grads = _khatri_rao_vjp(g_hat, spread, transpose)
+    return [e.eigenvectors @ gj for e, gj in zip(r.axis_eigs, grads)]
+
+
+def _weighted(r: Resolvent, t: np.ndarray) -> np.ndarray:
+    """D * t for an eigenbasis tensor t, written C-contiguous so that its
+    (M, channels) view and the per-sample blocks of that view need no copy."""
+    return np.multiply(t, r.diag_weights[..., None], order="C")
+
+
+def _spectral_grads(
+    r: Resolvent, w_hat: np.ndarray, y_hat: np.ndarray, grams: list[Tensor], alpha: Tensor
+):
+    """The Gram and alpha gradients of y = R x, from w-hat = D * U^T g and
+    y-hat = U^T y, both (N_1, ..., N_d, channels).
+
+    The divided difference of D along axis j is alpha * c_j * D_a * D_b, so
+    with H_j = unfold_j(w-hat) unfold_j(c_j * y-hat)^T, K_j receives
+    alpha * U_j H_j U_j^T and alpha receives
+    euler * sum_j sum_a lambda_j[a] H_j[a, a].
     """
-    y = apply_resolvent(r, x.data)
+    k_bars, g_alpha = [None] * len(grams), 0.0
+    for j, (e, c) in enumerate(zip(r.axis_eigs, r.cofactors)):
+        h = _unfold(w_hat, j) @ _unfold(c[..., None] * y_hat, j).T
+        if grams[j].requires_grad:
+            k_bars[j] = r.alpha * (e.eigenvectors @ h @ e.eigenvectors.T)
+        g_alpha += e.eigenvalues @ np.diagonal(h)
+    a_bar = np.array(r.euler * g_alpha) if alpha.requires_grad else None
+    return k_bars, a_bar
+
+
+def resolvent_encode_ad(
+    r: Resolvent, factors: list[Tensor], v: Tensor, grams: list[Tensor], alpha: Tensor, batch: int
+) -> Tensor:
+    """y = R blocks(K_GP) V: the (N_1, ..., N_d, B*h) latent features of a
+    stacked batch of B clouds.
+
+    ``r`` is the vanilla or tp operator U diag(D) U^T built from the values
+    of ``grams`` and ``alpha``; ``factors`` are the (N_j, B*n) axis factors
+    of the encoder's cross kernel K_GP = KR(A_1, ..., A_d), and ``v`` the
+    (B*n, h) point tokens. With A-hat_j = U_j^T A_j and K-hat = KR(A-hat),
+    the forward pass is y-hat = D * (K-hat V) per sample, then y = U y-hat:
+    d mode products. The backward pass takes d more, for w-hat = D * U^T g:
+    V receives K-hat^T w-hat, A_j the rotated Khatri-Rao VJP of w-hat V^T,
+    and the Grams and alpha :func:`_spectral_grads` of y-hat. U is never
+    differentiated: R acts on K_GP V, which does not depend on the Grams,
+    so the rotation only re-associates the product.
+    """
+    sizes = r.axis_sizes
+    k_hat, spread = _khatri_rao(_eigen_factors(r, factors), False)
+    k3, v3 = _blocks(k_hat, batch, 1), _blocks(v.data, batch, 0)  # (B, M, n), (B, n, h)
+
+    def eigen_features() -> np.ndarray:  # y-hat
+        y_hat = _unblocks(k3 @ v3, 1).reshape(*sizes, -1)
+        y_hat *= r.diag_weights[..., None]
+        return y_hat
+
+    y = r.from_eigenbasis(eigen_features())
 
     def backward(g):
-        w_hat = r.to_eigenbasis(g)
-        w_hat *= r.diag_weights[..., None]
-        k_bars, g_alpha = [None] * len(grams), 0.0
+        w_hat = _weighted(r, r.to_eigenbasis(g))
+        w3 = _blocks(w_hat.reshape(k_hat.shape[0], -1), batch, 1)  # (B, M, h)
+        a_bars = [None] * len(factors)
+        if any(f.requires_grad for f in factors):
+            a_bars = _factor_grads(r, _unblocks(w3 @ v3.swapaxes(1, 2), 1), spread, False)
+        k_bars, a_bar = [None] * len(grams), None
+        # a fixed kernel's Grams and alpha need no gradient; y-hat is
+        # recomputed, as the op keeps no copy of it
         if alpha.requires_grad or any(k.requires_grad for k in grams):
-            y_hat = r.to_eigenbasis(y)  # recomputed: the op keeps no eigenbasis copy
-            for j, (e, c) in enumerate(zip(r.axis_eigs, r.cofactors)):
-                h = _unfold(w_hat, j) @ _unfold(c[..., None] * y_hat, j).T
-                if grams[j].requires_grad:
-                    k_bars[j] = r.alpha * (e.eigenvectors @ h @ e.eigenvectors.T)
-                g_alpha += e.eigenvalues @ np.diagonal(h)
-            del y_hat  # x_bar last, so that y_hat and x_bar are never alive together
-        x_bar = r.from_eigenbasis(w_hat) if x.requires_grad else None
-        a_bar = np.array(r.euler * g_alpha) if alpha.requires_grad else None
-        return [x_bar, *k_bars, a_bar]
+            k_bars, a_bar = _spectral_grads(r, w_hat, eigen_features(), grams, alpha)
+        v_bar = _unblocks(k3.swapaxes(1, 2) @ w3, 0) if v.requires_grad else None
+        return [*a_bars, v_bar, *k_bars, a_bar]
 
-    return custom_op([x, *grams, alpha], y, backward)
+    return custom_op([*factors, v, *grams, alpha], y, backward)
+
+
+def resolvent_decode_ad(
+    r: Resolvent, factors: list[Tensor], v: Tensor, grams: list[Tensor], alpha: Tensor, batch: int
+) -> Tensor:
+    """out = blocks(K_QG) R v: the (B*n_q, h) query features of a stacked
+    batch of B query sets.
+
+    ``r`` is as for :func:`resolvent_encode_ad`; ``factors`` are the
+    (N_j, B*n_q) axis factors of the decoder's cross kernel
+    K_QG = KR(A_1, ..., A_d)^T, and ``v`` holds the latent features in the
+    (N_1, ..., N_d, B*h) memory order, as (M*B, h) or grid-shaped. The
+    forward pass takes d mode products for y-hat = D * U^T v, then
+    out = K-hat^T y-hat per sample with K-hat = KR(U_j^T A_j). The backward
+    pass takes d more: with g-hat = K-hat g per sample and w-hat = D * g-hat,
+    v receives U w-hat, A_j the rotated Khatri-Rao VJP of g y-hat^T, and the
+    Grams and alpha :func:`_spectral_grads` of y-hat.
+    """
+    sizes = r.axis_sizes
+    k_hat, spread = _khatri_rao(_eigen_factors(r, factors), True)
+    y_hat = _weighted(r, r.to_eigenbasis(v.data.reshape(*sizes, -1)))
+    k3 = _blocks(k_hat, batch, 0)  # (B, n_q, M)
+    y3 = _blocks(y_hat.reshape(k_hat.shape[1], -1), batch, 1)  # (B, M, h)
+    out = _unblocks(k3 @ y3, 0)
+
+    def backward(g):
+        g3 = _blocks(g, batch, 0)  # (B, n_q, h)
+        a_bars = [None] * len(factors)
+        if any(f.requires_grad for f in factors):
+            a_bars = _factor_grads(r, _unblocks(g3 @ y3.swapaxes(1, 2), 0), spread, True)
+        w_hat = _unblocks(k3.swapaxes(1, 2) @ g3, 1).reshape(y_hat.shape)
+        w_hat *= r.diag_weights[..., None]
+        k_bars, a_bar = [None] * len(grams), None
+        if alpha.requires_grad or any(k.requires_grad for k in grams):
+            k_bars, a_bar = _spectral_grads(r, w_hat, y_hat, grams, alpha)
+        v_bar = r.from_eigenbasis(w_hat) if v.requires_grad else None
+        return [*a_bars, v_bar, *k_bars, a_bar]
+
+    return custom_op([*factors, v, *grams, alpha], out, backward)
 
 
 def truncated_ad(x: Tensor, grams: list[Tensor], alpha: Tensor, order: int) -> Tensor:

@@ -57,8 +57,9 @@ class Resolvent:
     vanilla, prod_{l != j} (1 - alpha * lambda_l) for tp. ``cofactors``
     holds c_j with axis j of size 1. D depends on alpha only through the
     products alpha * lambda_j, so alpha dD/dalpha = euler * sum_j lambda_j
-    dD/dlambda_j with euler = 1/d (vanilla) or 1 (tp). :func:`ikno.ops_ad.resolvent_ad`
-    builds its gradient from these two.
+    dD/dlambda_j with euler = 1/d (vanilla) or 1 (tp). The Gram and alpha
+    gradients of :func:`ikno.ops_ad.resolvent_encode_ad` and
+    :func:`ikno.ops_ad.resolvent_decode_ad` are built from these two.
     """
 
     axis_eigs: tuple[SymEig, ...]

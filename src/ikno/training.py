@@ -384,11 +384,14 @@ def train_model(
             pv.values = new_values
             if a_idx.size:
                 pv.values[a_idx] = np.minimum(pv.values[a_idx], ALPHA_CLAMP)
+            grad_norm = float(np.linalg.norm(grad))
             rec = {
                 "step": step,
                 "lr": lr,
                 "loss": loss,
-                "grad_norm": float(np.linalg.norm(grad)),
+                "grad_norm": grad_norm,  # before clipping
+                # optimizer_step's test for scaling this step's gradient down
+                "clipped": bool(opt_cfg.clip > 0 and grad_norm > opt_cfg.clip),
                 "wall_time_s": time.monotonic() - t0,
             }
             history.append(rec)

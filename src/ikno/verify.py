@@ -306,11 +306,12 @@ def suite_gradient(
     """Analytic gradient vs. central finite differences on toy models.
 
     ``cases`` are (variant, dim, cloud sizes) with one sample of 5 queries
-    per cloud size. The d=3 cases cover the Khatri-Rao cross-kernel VJP
-    where each axis meets a product of two other factors, and the
-    resolvent VJP with two other axes' factors applied. The last case's
-    batch runs as a stacked group of two samples plus a group of one, so
-    the resolvent VJP sees 2*h channels.
+    per cloud size. The d=3 cases cover the Khatri-Rao VJP of the
+    eigenbasis-rotated cross-kernel factors, where each axis meets a
+    product of two other factors, and the Gram gradients of the fused
+    encode and decode ops, with two other axes' cofactors applied. The last
+    case's batch runs as a stacked group of two samples plus a group of
+    one, so both ops see 2*h channels.
     """
     rng = Rng64(seed ^ 0x6AD)
     worst = 0.0

@@ -8,7 +8,7 @@ result here must match running the samples one at a time.
 import numpy as np
 import pytest
 
-from ikno import tensor_linalg
+from ikno import ops_ad, tensor_linalg
 from ikno.kernels import LinearWindowKernel, PointCloud
 from ikno.model import ModelConfig, _np_graph, forward, init_params
 from ikno.training import batch_loss, loss_and_grad
@@ -131,15 +131,26 @@ def test_mode_products_do_not_grow_with_batch(variant):
 
 
 @pytest.mark.parametrize("variant", ["tp", "vanilla"])
-@pytest.mark.parametrize("fixed, expected", [(False, 20), (True, 16)])
-def test_fixed_kernel_backward_skips_kernel_gradients(variant, fixed, expected):
-    # 2d forward products per resolvent (encode and decode), then 3d in the
-    # backward; a fixed window's Grams and alpha need no gradient, so its
-    # backward skips the d rotations of y
+@pytest.mark.parametrize("fixed", [False, True])
+def test_resolvent_step_takes_4d_mode_products(monkeypatch, variant, fixed):
+    # the cross kernels enter the eigenbasis through their axis factors, so
+    # each direction's op rotates the grid once (d mode products) in the
+    # forward and once in the backward: 4d per branch and step, learnable
+    # or not; a fixed window's Grams and alpha need no gradient, so its
+    # backward never forms their contraction
     window = LinearWindowKernel(radius=0.6, scale=1.0, alpha=-0.15) if fixed else None
     cfg = make_config(variant=variant, processor="mlp", grid_l=8, branches=1, fixed_window=window)
     pv = make_params(cfg)
     batch = make_batch(np.random.default_rng(6), cfg.dim, [(6, 4)] * 2)
+    spectral_calls = []
+    spectral_grads = ops_ad._spectral_grads
+
+    def counted(*args):
+        spectral_calls.append(args)
+        return spectral_grads(*args)
+
+    monkeypatch.setattr(ops_ad, "_spectral_grads", counted)
     before = tensor_linalg.mode_apply_count()
     loss_and_grad(cfg, pv, batch)
-    assert tensor_linalg.mode_apply_count() - before == expected
+    assert tensor_linalg.mode_apply_count() - before == 4 * cfg.dim == 8
+    assert len(spectral_calls) == (0 if fixed else 2)  # encode and decode

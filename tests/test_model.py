@@ -74,6 +74,12 @@ class TestInitParams:
         with pytest.raises(ValueError, match="truncation_order"):
             ModelConfig(dim=2, grid_l=4, hidden=8, variant="truncated", truncation_order=-1)
 
+    def test_decode_kernel_params_rejects_fixed_window(self):
+        window = LinearWindowKernel(radius=0.6, scale=1.0, alpha=-0.15)
+        cfg = ModelConfig(dim=2, grid_l=4, hidden=8, branches=1, fixed_window=window)
+        with pytest.raises(ValueError, match="fixed-window config has no learnable kernel"):
+            decode_kernel_params(cfg, init_params(cfg, 0))
+
     def test_alpha_indices_decode(self):
         cfg = ModelConfig(dim=2, grid_l=4, hidden=8, branches=3)
         pv = init_params(cfg, 0)

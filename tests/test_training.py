@@ -310,12 +310,29 @@ class TestTrainLoop:
         _, _, hist, _ = train_model(cfg, init_params(cfg, 3), pool, tc)
         assert len(hist) == 5
         for rec in hist:
-            assert set(rec) == {"step", "lr", "loss", "grad_norm", "wall_time_s"}
+            assert set(rec) == {"step", "lr", "loss", "grad_norm", "clipped", "wall_time_s"}
         import json
 
         lines = log.read_text().strip().splitlines()
         assert len(lines) == 5
         assert json.loads(lines[0])["step"] == 0
+
+    @pytest.mark.parametrize("clip, expected", [(1e-12, True), (0.0, False)])
+    def test_clipped_flag(self, tmp_path, clip, expected):
+        # a tiny clip norm clips every step; clip = 0 switches clipping off
+        import json
+
+        cfg, pool = self._tiny_problem()
+        log = tmp_path / "log.jsonl"
+        tc = TrainConfig(
+            steps=4, batch_size=2, seed=5, log_path=str(log),
+            optimizer=OptimizerConfig(clip=clip),
+        )
+        _, _, hist, _ = train_model(cfg, init_params(cfg, 3), pool, tc)
+        assert [rec["clipped"] for rec in hist] == [expected] * 4
+        assert all(rec["grad_norm"] > 1e-12 for rec in hist)
+        logged = [json.loads(line)["clipped"] for line in log.read_text().splitlines()]
+        assert logged == [expected] * 4
 
     def test_resume_matches_uninterrupted(self):
         cfg, pool = self._tiny_problem()
