@@ -1,9 +1,9 @@
 """Self-contained correctness suites with machine-readable results.
 
 Each suite pits the fast structured code paths against slow independent
-oracles (dense inversion, finite differences, explicit eigenvalues) and
-records the worst observed deviation. The CLI ``verify`` command runs all
-of them and fails loudly on any regression.
+oracles (dense inversion, finite differences, explicit eigenvalues,
+conjugate gradient) and records the worst observed deviation. The CLI
+``verify`` command runs all of them and fails loudly on any regression.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data
 from .kernels import AxisKernelParams, PointCloud, product_kernel_eval, axis_gram
 from .model import ModelConfig, init_params
 from .resolvent import (
@@ -35,6 +36,7 @@ __all__ = [
     "suite_dimension_split",
     "suite_positive_definite",
     "suite_gradient",
+    "suite_poisson_solver",
     "run_all",
 ]
 
@@ -354,6 +356,77 @@ def suite_gradient(
     )
 
 
+def _laplacian_5pt(u_int: np.ndarray, dx: float) -> np.ndarray:
+    """-lap_h on the interior values of a grid with zero Dirichlet boundary."""
+    u = np.pad(u_int, 1)
+    return (
+        4.0 * u[1:-1, 1:-1] - u[:-2, 1:-1] - u[2:, 1:-1] - u[1:-1, :-2] - u[1:-1, 2:]
+    ) / dx**2
+
+
+def _solve_poisson_cg(f_grid: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Slow oracle for ``data.solve_poisson_fd``: conjugate gradient on the
+    SPD 5-point system, run to relative residual <= tol (or n^2 steps)."""
+    h_pts = f_grid.shape[0]
+    dx = 2.0 / (h_pts - 1)
+    b = f_grid[1:-1, 1:-1]
+    u = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float((r * r).sum())
+    stop = (tol * np.linalg.norm(b)) ** 2
+    for _ in range(b.size):
+        if rs <= stop:
+            break
+        ap = _laplacian_5pt(p, dx)
+        step = rs / float((p * ap).sum())
+        u += step * p
+        r -= step * ap
+        rs_new = float((r * r).sum())
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return np.pad(u, 1)
+
+
+def suite_poisson_solver(seed: int = 0) -> CheckResult:
+    """Direct sine-basis Poisson solve vs. conjugate gradient, Gaussian forcings.
+
+    For two forcings at each solver resolution 17, 33 and 65, drawn as
+    ``gen_poisson_gauss`` draws them, records the worst of two deviations
+    relative to the norm of f: the direct solve against the CG oracle, and
+    the 5-point residual of the direct solve.
+    """
+    rng = Rng64(seed)
+    worst = 0.0
+    detail = ""
+    for res in (17, 33, 65):
+        spec = data.PoissonGaussSpec(solver_res=res)
+        grid_pts = data._solver_grid(res)
+        dx = 2.0 / (res - 1)
+        for i in range(2):
+            sources = data._gauss_sources(rng, spec)
+            f = data._gauss_eval(sources, grid_pts).reshape(res, res)
+            u = data.solve_poisson_fd(f)
+            f_norm = np.linalg.norm(f[1:-1, 1:-1])
+            dev_cg = float(np.linalg.norm(u - _solve_poisson_cg(f)) / f_norm)
+            dev_res = float(
+                np.linalg.norm(_laplacian_5pt(u[1:-1, 1:-1], dx) - f[1:-1, 1:-1]) / f_norm
+            )
+            if max(dev_cg, dev_res) > worst:
+                worst = max(dev_cg, dev_res)
+                detail = (
+                    f"solver_res={res} forcing {i} ({len(sources)} sources): "
+                    f"vs CG {dev_cg:.2e}, residual {dev_res:.2e}"
+                )
+    return CheckResult(
+        name="poisson-direct-vs-cg",
+        passed=worst <= 1e-8,
+        max_deviation=worst,
+        threshold=1e-8,
+        detail=detail,
+    )
+
+
 def run_all(cases: int = 100, seed: int = 0, inject_fault: str | None = None) -> VerifyReport:
     if cases < 1:  # zero random instances would pass every check vacuously
         raise ValueError(f"cases must be >= 1, got {cases}")
@@ -366,6 +439,7 @@ def run_all(cases: int = 100, seed: int = 0, inject_fault: str | None = None) ->
         lambda: suite_dimension_split(seed=seed),
         lambda: suite_positive_definite(seed=seed),
         lambda: suite_gradient(seed=seed),
+        lambda: suite_poisson_solver(seed=seed),
     )
     for suite in suites:
         t_check = time.monotonic()

@@ -191,7 +191,7 @@ class TestVerify:
         validate_report(report)
         assert report["all_passed"] is True
         times = [check["wall_time_s"] for check in report["checks"]]
-        assert len(times) == 6 and min(times) >= 0.0
+        assert len(times) == 7 and min(times) >= 0.0
         assert sum(times) <= report["wall_time_s"]
 
     @pytest.mark.parametrize("cases", [0, -1])
@@ -200,7 +200,7 @@ class TestVerify:
             run_all(cases=cases)
 
     def test_zero_cases_exits_2(self, capsys):
-        # zero random instances would report six vacuous passes
+        # zero random instances would report seven vacuous passes
         assert main(["verify", "--cases", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: cases must be >= 1, got 0\n"

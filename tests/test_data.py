@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import ikno.data
 from ikno.data import (
     CSinesSpec,
     PoissonGaussSpec,
@@ -18,6 +19,7 @@ from ikno.data import (
 from ikno.errors import TooManyRequestedError
 from ikno.kernels import LatentGrid
 from ikno.rng import Rng64, splitmix64
+from ikno.verify import suite_poisson_solver
 
 
 class TestRng:
@@ -40,6 +42,26 @@ class TestRng:
     def test_child_streams_distinct(self):
         r = Rng64(9)
         assert r.child(0).next_u64() != r.child(1).next_u64()
+
+
+@pytest.mark.parametrize(
+    "gen, spec",
+    [
+        (gen_csines, CSinesSpec(num_samples=4, num_points=8, num_queries=8, seed=11)),
+        (
+            gen_poisson_gauss,
+            PoissonGaussSpec(num_samples=4, solver_res=17, num_points=8, num_queries=8, seed=11),
+        ),
+    ],
+    ids=["csines", "poisson-gauss"],
+)
+def test_regeneration_byte_identity(tmp_path, gen, spec):
+    save_dataset(gen(spec), tmp_path / "a")
+    save_dataset(gen(spec), tmp_path / "b")
+    for name in ("input_coords", "input_values", "query_coords", "target_values"):
+        da = (tmp_path / "a" / f"{name}.f64le").read_bytes()
+        db = (tmp_path / "b" / f"{name}.f64le").read_bytes()
+        assert hashlib.sha256(da).digest() == hashlib.sha256(db).digest()
 
 
 class TestCSines:
@@ -81,15 +103,6 @@ class TestCSines:
                 lap += c * _csines_fields(amps, p, 3)[0][0]
         u, f = _csines_fields(amps, pt, 3)
         assert abs(-lap - f[0]) <= 1e-7
-
-    def test_regeneration_byte_identity(self, tmp_path):
-        spec = CSinesSpec(num_samples=4, num_points=8, num_queries=8, seed=11)
-        save_dataset(gen_csines(spec), tmp_path / "a")
-        save_dataset(gen_csines(spec), tmp_path / "b")
-        for name in ("input_coords", "input_values", "query_coords", "target_values"):
-            da = (tmp_path / "a" / f"{name}.f64le").read_bytes()
-            db = (tmp_path / "b" / f"{name}.f64le").read_bytes()
-            assert hashlib.sha256(da).digest() == hashlib.sha256(db).digest()
 
     def test_round_trip_load(self, tmp_path):
         spec = CSinesSpec(num_samples=3, num_points=6, num_queries=5, seed=2)
@@ -141,6 +154,15 @@ class TestPoissonFd:
         res = np.linalg.norm((lap + f)[1:-1, 1:-1])
         assert res <= 1e-8 * np.linalg.norm(f)
 
+    def test_suite_catches_misscaled_solve(self, monkeypatch):
+        # the direct solve without its (2 / (n+1))^2 normalization
+        def misscaled(f_grid):
+            return solve_poisson_fd(f_grid) * ((f_grid.shape[0] - 1) / 2.0) ** 2
+
+        monkeypatch.setattr(ikno.data, "solve_poisson_fd", misscaled)
+        check = suite_poisson_solver(seed=0)
+        assert not check.passed and check.max_deviation > 1.0
+
 
 class TestPoissonGauss:
     def test_zero_amplitudes(self):
@@ -191,6 +213,15 @@ class TestSpecSizes:
     def test_empty_size_rejected(self, spec, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
             spec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "lo, hi, field",
+    [(0, 4, "sources_lo"), (-1, 4, "sources_lo"), (3, 1, "sources_hi"), (1, 0, "sources_hi")],
+)
+def test_source_count_range_rejected(lo, hi, field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        PoissonGaussSpec(sources_lo=lo, sources_hi=hi)
 
 
 class TestSubsample:

@@ -15,7 +15,7 @@ from ikno.errors import (
 from ikno.experiments import RunSpec, load_checkpoint, run_training
 from ikno.kernels import PointCloud
 from ikno.model import ModelConfig, init_params
-from ikno.reports import validate_report
+from ikno.reports import report_schema, validate_report
 from ikno.training import (
     OptimizerConfig,
     OptimizerState,
@@ -313,9 +313,16 @@ class TestTrainLoop:
             assert set(rec) == {"step", "lr", "loss", "grad_norm", "clipped", "wall_time_s"}
         import json
 
+        import jsonschema
+
+        line_schema = {"$defs": report_schema()["$defs"], "$ref": "#/$defs/train_log_line"}
         lines = log.read_text().strip().splitlines()
         assert len(lines) == 5
+        for line in lines:
+            jsonschema.validate(json.loads(line), line_schema)
         assert json.loads(lines[0])["step"] == 0
+        with pytest.raises(jsonschema.ValidationError):  # no keys beyond the record's
+            jsonschema.validate({**json.loads(lines[0]), "extra": 1}, line_schema)
 
     @pytest.mark.parametrize("clip, expected", [(1e-12, True), (0.0, False)])
     def test_clipped_flag(self, tmp_path, clip, expected):
