@@ -39,14 +39,7 @@ from .kernels import (
     grid_linspace,
 )
 from . import ops_ad
-from .ops_ad import (
-    axis_kernel_ad,
-    block_matmul_ad,
-    khatri_rao_ad,
-    resolvent_decode_ad,
-    resolvent_encode_ad,
-    truncated_ad,
-)
+from .ops_ad import axis_kernel_ad, resolvent_decode_ad, resolvent_encode_ad
 from .resolvent import Resolvent
 from .rng import Rng64
 
@@ -296,29 +289,19 @@ class _Graph:
             for j, axis_pts in enumerate(self.grid.per_axis_points)
         ]
 
-    def cross(self, b: int, pts: np.ndarray, transpose: bool = False) -> Tensor:
-        """K_GP (M, n) between the latent grid and ``pts``, or K_QG = K_GP^T."""
-        return khatri_rao_ad(self.cross_factors(b, pts), transpose)
-
     def resolvent_op(self, op, b: int, v: Tensor, pts: np.ndarray, batch: int) -> Tensor:
         """``op``, :func:`ops_ad.resolvent_encode_ad` or
-        :func:`ops_ad.resolvent_decode_ad`, over the branch's vanilla or tp
-        operator (built once per graph), its cross factors with ``pts``,
-        its Grams and its alpha."""
+        :func:`ops_ad.resolvent_decode_ad`, over the branch's vanilla, tp or
+        truncated operator (built once per graph), its cross factors with
+        ``pts``, its Grams and its alpha."""
+        cfg = self.config
         grams, alpha = self.axis_grams(b), self.branch_alpha(b)
         if b not in self._resolvent_cache:
-            build = ops_ad.build_tp if self.config.variant == "tp" else ops_ad.build_vanilla
-            self._resolvent_cache[b] = build([g.data for g in grams], float(alpha.data))
+            # looked up per call, so that wrappers of ops_ad's builders see it
+            build = getattr(ops_ad, f"build_{cfg.variant}")
+            order = (cfg.truncation_order,) if cfg.variant == "truncated" else ()
+            self._resolvent_cache[b] = build([g.data for g in grams], float(alpha.data), *order)
         return op(self._resolvent_cache[b], self.cross_factors(b, pts), v, grams, alpha, batch)
-
-    def truncated(self, b: int, x: Tensor) -> Tensor:
-        """Apply the branch's truncated operator to latent features, given
-        as (M, B*h) or, in the same memory order, as (M*B, h); the result is
-        (N_1, ..., N_d, B*h)."""
-        xt = x.reshape(*self.grid.axis_sizes, x.data.size // self.grid.num_points)
-        grams = self.axis_grams(b)
-        alpha = self.branch_alpha(b)
-        return truncated_ad(xt, grams, alpha, self.config.truncation_order)
 
     # -- pipeline stages --
     #
@@ -349,14 +332,10 @@ class _Graph:
         cfg = self.config
         batch, m, h = len(clouds), self.grid.num_points, v_p.shape[-1]
         coords = _stacked(clouds, "coords")
-        outs = []
-        for b in range(cfg.branches):
-            if cfg.variant == "truncated":
-                kgp = self.cross(b, coords)
-                x = self.truncated(b, block_matmul_ad(kgp, v_p, batch, (1, 0, 1)))
-            else:
-                x = self.resolvent_op(resolvent_encode_ad, b, v_p, coords, batch)
-            outs.append(x.reshape(m * batch, h))
+        outs = [
+            self.resolvent_op(resolvent_encode_ad, b, v_p, coords, batch).reshape(m * batch, h)
+            for b in range(cfg.branches)
+        ]
         fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
         return fused @ self.seg("enc_fusion.w") + self.seg("enc_fusion.b")
 
@@ -388,17 +367,11 @@ class _Graph:
     def decode(self, v_gp: Tensor, queries: Sequence[PointCloud]) -> Tensor:
         """(M*B, h) latent features -> (B*n_q, out_channels) predictions."""
         cfg = self.config
-        batch, m = len(queries), self.grid.num_points
-        bh = batch * v_gp.shape[-1]
-        coords = _stacked(queries, "coords")
-        outs = []
-        for b in range(cfg.branches):
-            if cfg.variant == "truncated":
-                w = self.truncated(b, v_gp).reshape(m, bh)
-                kqg = self.cross(b, coords, transpose=True)
-                outs.append(block_matmul_ad(kqg, w, batch, (0, 1, 0)))
-            else:
-                outs.append(self.resolvent_op(resolvent_decode_ad, b, v_gp, coords, batch))
+        batch, coords = len(queries), _stacked(queries, "coords")
+        outs = [
+            self.resolvent_op(resolvent_decode_ad, b, v_gp, coords, batch)
+            for b in range(cfg.branches)
+        ]
         fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
         fused = fused @ self.seg("dec_fusion.w") + self.seg("dec_fusion.b")
         mid = gelu(fused @ self.seg("head.w0") + self.seg("head.b0"))

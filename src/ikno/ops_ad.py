@@ -10,17 +10,18 @@ Grid-cloud cross kernels are Khatri-Rao (column-wise Kronecker) products of
 per-axis factors, so their gradient contracts the upstream gradient with the
 other axes' factors and never differentiates through an M x n array of
 exponentials. A stacked batch meets its cross kernels through per-sample
-block products, so the resolvents see the whole batch as extra channels.
+block products, so the operators see the whole batch as extra channels.
 
-Both infinite-order resolvents are R = U diag(D) U^T in the axis eigenbasis
-of a prebuilt :class:`ikno.resolvent.Resolvent`, and U^T KR(A_1, ..., A_d)
+Every operator variant (vanilla, tp and the truncated partial sum) is
+R = U diag(D) U^T in the axis eigenbasis of a prebuilt
+:class:`ikno.resolvent.Resolvent`, and U^T KR(A_1, ..., A_d)
 = KR(U_1^T A_1, ..., U_d^T A_d) (the mixed-product rule). So the encoder's
-R K_GP V and the decoder's K_QG R v are one op each, for vanilla and tp.
-The rotation on the cross-kernel side runs on the N_j x n factors, and the
-latent grid is rotated once per direction: d mode products in the forward
-pass and d in the backward pass. One prebuilt operator per branch serves
-both ops. The truncated Horner recursion has no eigenbasis, so it meets the
-Khatri-Rao cross kernels through the block products.
+R K_GP V and the decoder's K_QG R v are one op each. The rotation on the
+cross-kernel side runs on the N_j x n factors, and the latent grid is
+rotated once per direction: d mode products in the forward pass and d in
+the backward pass, whatever the variant or truncation order. One prebuilt
+operator per branch serves both ops; only D and the divided-difference
+pairs of its Gram gradient differ between variants.
 """
 
 from __future__ import annotations
@@ -28,19 +29,15 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, custom_op
-from .resolvent import Resolvent, build_tp, build_vanilla
-from .tensor_linalg import mode_apply
+from .resolvent import Resolvent, build_tp, build_truncated, build_vanilla
 
 __all__ = [
     "build_tp",  # build the operators that the resolvent ops take
+    "build_truncated",
     "build_vanilla",
     "axis_kernel_ad",
-    "block_matmul_ad",
-    "khatri_rao_ad",
-    "mode_apply_ad",
     "resolvent_decode_ad",
     "resolvent_encode_ad",
-    "truncated_ad",
 ]
 
 
@@ -121,20 +118,6 @@ def _khatri_rao_vjp(g: np.ndarray, spread: list[np.ndarray], transpose: bool) ->
     return grads
 
 
-def khatri_rao_ad(factors: list[Tensor], transpose: bool = False) -> Tensor:
-    """Column-wise Kronecker (Khatri-Rao) product of per-axis factors.
-
-    Factor j is (N_j, n). The result K is (M, n) with M = N_1 ... N_d and
-    rows in the product grid's order (axis 1 slowest), so
-    K[(i_1, ..., i_d), p] = F_1[i_1, p] * ... * F_d[i_d, p], multiplied in
-    axis order; ``transpose`` returns the C-contiguous (n, M) transpose.
-    The backward pass reshapes the upstream gradient to the grid, multiplies
-    it by the other axes' factors and sums over their axes, giving N_j x n.
-    """
-    out, spread = _khatri_rao([f.data for f in factors], transpose)
-    return custom_op(list(factors), out, lambda g: _khatri_rao_vjp(g, spread, transpose))
-
-
 def _blocks(x: np.ndarray, batch: int, axis: int) -> np.ndarray:
     """(B, r, c) view of a 2-D array that stacks B blocks along ``axis``."""
     r, c = x.shape
@@ -151,40 +134,6 @@ def _unblocks(x: np.ndarray, axis: int) -> np.ndarray:
     return x.swapaxes(0, 1).reshape(r, b * c)
 
 
-def block_matmul_ad(a: Tensor, b: Tensor, batch: int, axes: tuple[int, int, int]) -> Tensor:
-    """Per-sample products of two stacked operands.
-
-    ``a`` and ``b`` are 2-D and stack ``batch`` blocks along axes[0] and
-    axes[1]; block i of the result, stacked along axes[2], is a_i @ b_i.
-    The encoder's (M, B*n) cross kernel times (B*n, h) tokens gives the
-    (M, B*h) latent features with axes (1, 0, 1); the decoder's (B*n_q, M)
-    cross kernel times (M, B*h) features gives (B*n_q, h) with (0, 1, 0).
-    """
-    ax_a, ax_b, ax_out = axes
-    a3, b3 = _blocks(a.data, batch, ax_a), _blocks(b.data, batch, ax_b)
-    out = _unblocks(a3 @ b3, ax_out)
-
-    def backward(g):
-        g3 = _blocks(g, batch, ax_out)
-        return [
-            _unblocks(g3 @ b3.swapaxes(1, 2), ax_a),
-            _unblocks(a3.swapaxes(1, 2) @ g3, ax_b),
-        ]
-
-    return custom_op([a, b], out, backward)
-
-
-def mode_apply_ad(x: Tensor, a: Tensor, axis: int) -> Tensor:
-    out = mode_apply(x.data, axis, a.data)
-
-    def backward(g):
-        gx = mode_apply(g, axis, a.data.T) if x.requires_grad else None
-        ga = _unfold(g, axis) @ _unfold(x.data, axis).T if a.requires_grad else None
-        return [gx, ga]
-
-    return custom_op([x, a], out, backward)
-
-
 def _eigen_factors(r: Resolvent, factors: list[Tensor]) -> list[np.ndarray]:
     """U_j^T A_j for each (N_j, n) axis factor A_j: by the mixed-product rule
     U^T KR(A_1, ..., A_d) = KR(U_1^T A_1, ..., U_d^T A_d), so a cross kernel
@@ -199,26 +148,40 @@ def _factor_grads(r: Resolvent, g_hat: np.ndarray, spread, transpose: bool) -> l
     return [e.eigenvectors @ gj for e, gj in zip(r.axis_eigs, grads)]
 
 
-def _weighted(r: Resolvent, t: np.ndarray) -> np.ndarray:
-    """D * t for an eigenbasis tensor t, written C-contiguous so that its
-    (M, channels) view and the per-sample blocks of that view need no copy."""
-    return np.multiply(t, r.diag_weights[..., None], order="C")
+def _weighted(r: Resolvent, t_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D * t-hat for an eigenbasis tensor t-hat, written C-contiguous so that
+    its (M, channels) view and the per-sample blocks of that view need no
+    copy, and the side of r's divided-difference pairs that t-hat feeds
+    :func:`_spectral_grads`: t-hat itself, or D * t-hat for the single pair
+    (D, D) of vanilla and tp, so that their t-hat need not stay alive."""
+    w = np.multiply(t_hat, r.diag_weights[..., None], order="C")
+    return w, (w if r.pairs is None else t_hat)
 
 
 def _spectral_grads(
-    r: Resolvent, w_hat: np.ndarray, y_hat: np.ndarray, grams: list[Tensor], alpha: Tensor
+    r: Resolvent, g_side: np.ndarray, x_side: np.ndarray, grams: list[Tensor], alpha: Tensor
 ):
-    """The Gram and alpha gradients of y = R x, from w-hat = D * U^T g and
-    y-hat = U^T y, both (N_1, ..., N_d, channels).
+    """The Gram and alpha gradients of y = R x, from g-hat = U^T g and
+    x-hat = U^T x, both (N_1, ..., N_d, channels). For the single pair
+    (D, D) of vanilla and tp, ``g_side`` and ``x_side`` are D * g-hat and
+    D * x-hat, which the ops hold anyway; otherwise they are g-hat and x-hat.
 
-    The divided difference of D along axis j is alpha * c_j * D_a * D_b, so
-    with H_j = unfold_j(w-hat) unfold_j(c_j * y-hat)^T, K_j receives
-    alpha * U_j H_j U_j^T and alpha receives
-    euler * sum_j sum_a lambda_j[a] H_j[a, a].
+    The divided difference of D along axis j is
+    alpha * c_j * sum_i F_i[a] G_i[b] over r's pairs, so with
+    H_j = sum_i unfold_j(F_i * g-hat) unfold_j(c_j * G_i * x-hat)^T (one
+    GEMM per axis and pair), K_j receives alpha * U_j H_j U_j^T and alpha
+    receives euler * sum_j sum_a lambda_j[a] H_j[a, a].
     """
+    if r.pairs is None:
+        terms = [(g_side, x_side)]
+    else:
+        terms = ((f[..., None] * g_side, s[..., None] * x_side) for f, s in r.pairs)
+    hs = [np.zeros((n, n)) for n in r.axis_sizes]
+    for left, right in terms:
+        for j, c in enumerate(r.cofactors):
+            hs[j] += _unfold(left, j) @ _unfold(c[..., None] * right, j).T
     k_bars, g_alpha = [None] * len(grams), 0.0
-    for j, (e, c) in enumerate(zip(r.axis_eigs, r.cofactors)):
-        h = _unfold(w_hat, j) @ _unfold(c[..., None] * y_hat, j).T
+    for j, (e, h) in enumerate(zip(r.axis_eigs, hs)):
         if grams[j].requires_grad:
             k_bars[j] = r.alpha * (e.eigenvectors @ h @ e.eigenvectors.T)
         g_alpha += e.eigenvalues @ np.diagonal(h)
@@ -232,39 +195,42 @@ def resolvent_encode_ad(
     """y = R blocks(K_GP) V: the (N_1, ..., N_d, B*h) latent features of a
     stacked batch of B clouds.
 
-    ``r`` is the vanilla or tp operator U diag(D) U^T built from the values
-    of ``grams`` and ``alpha``; ``factors`` are the (N_j, B*n) axis factors
-    of the encoder's cross kernel K_GP = KR(A_1, ..., A_d), and ``v`` the
-    (B*n, h) point tokens. With A-hat_j = U_j^T A_j and K-hat = KR(A-hat),
-    the forward pass is y-hat = D * (K-hat V) per sample, then y = U y-hat:
-    d mode products. The backward pass takes d more, for w-hat = D * U^T g:
-    V receives K-hat^T w-hat, A_j the rotated Khatri-Rao VJP of w-hat V^T,
-    and the Grams and alpha :func:`_spectral_grads` of y-hat. U is never
-    differentiated: R acts on K_GP V, which does not depend on the Grams,
-    so the rotation only re-associates the product.
+    ``r`` is the operator U diag(D) U^T built from the values of ``grams``
+    and ``alpha``; ``factors`` are the (N_j, B*n) axis factors of the
+    encoder's cross kernel K_GP = KR(A_1, ..., A_d), and ``v`` the (B*n, h)
+    point tokens. With A-hat_j = U_j^T A_j and K-hat = KR(A-hat), the
+    forward pass is x-hat = K-hat V per sample and y-hat = D * x-hat, then
+    y = U y-hat: d mode products. The backward pass takes d more, for
+    g-hat = U^T g and w-hat = D * g-hat: V receives K-hat^T w-hat, A_j the
+    rotated Khatri-Rao VJP of w-hat V^T, and the Grams and alpha
+    :func:`_spectral_grads` of g-hat and x-hat. U is never differentiated:
+    R acts on K_GP V, which does not depend on the Grams, so the rotation
+    only re-associates the product.
     """
     sizes = r.axis_sizes
     k_hat, spread = _khatri_rao(_eigen_factors(r, factors), False)
     k3, v3 = _blocks(k_hat, batch, 1), _blocks(v.data, batch, 0)  # (B, M, n), (B, n, h)
 
-    def eigen_features() -> np.ndarray:  # y-hat
-        y_hat = _unblocks(k3 @ v3, 1).reshape(*sizes, -1)
-        y_hat *= r.diag_weights[..., None]
-        return y_hat
+    def eigen_features(weighted: bool) -> np.ndarray:  # y-hat, or x-hat
+        t = _unblocks(k3 @ v3, 1).reshape(*sizes, -1)
+        if weighted:
+            t *= r.diag_weights[..., None]
+        return t
 
-    y = r.from_eigenbasis(eigen_features())
+    y = r.from_eigenbasis(eigen_features(True))
 
     def backward(g):
-        w_hat = _weighted(r, r.to_eigenbasis(g))
+        w_hat, g_side = _weighted(r, r.to_eigenbasis(g))
         w3 = _blocks(w_hat.reshape(k_hat.shape[0], -1), batch, 1)  # (B, M, h)
         a_bars = [None] * len(factors)
         if any(f.requires_grad for f in factors):
             a_bars = _factor_grads(r, _unblocks(w3 @ v3.swapaxes(1, 2), 1), spread, False)
         k_bars, a_bar = [None] * len(grams), None
-        # a fixed kernel's Grams and alpha need no gradient; y-hat is
+        # a fixed kernel's Grams and alpha need no gradient; x-hat is
         # recomputed, as the op keeps no copy of it
         if alpha.requires_grad or any(k.requires_grad for k in grams):
-            k_bars, a_bar = _spectral_grads(r, w_hat, eigen_features(), grams, alpha)
+            x_side = eigen_features(r.pairs is None)
+            k_bars, a_bar = _spectral_grads(r, g_side, x_side, grams, alpha)
         v_bar = _unblocks(k3.swapaxes(1, 2) @ w3, 0) if v.requires_grad else None
         return [*a_bars, v_bar, *k_bars, a_bar]
 
@@ -281,15 +247,16 @@ def resolvent_decode_ad(
     (N_j, B*n_q) axis factors of the decoder's cross kernel
     K_QG = KR(A_1, ..., A_d)^T, and ``v`` holds the latent features in the
     (N_1, ..., N_d, B*h) memory order, as (M*B, h) or grid-shaped. The
-    forward pass takes d mode products for y-hat = D * U^T v, then
-    out = K-hat^T y-hat per sample with K-hat = KR(U_j^T A_j). The backward
-    pass takes d more: with g-hat = K-hat g per sample and w-hat = D * g-hat,
-    v receives U w-hat, A_j the rotated Khatri-Rao VJP of g y-hat^T, and the
-    Grams and alpha :func:`_spectral_grads` of y-hat.
+    forward pass takes d mode products for x-hat = U^T v and
+    y-hat = D * x-hat, then out = K-hat^T y-hat per sample with
+    K-hat = KR(U_j^T A_j). The backward pass takes d more: with
+    g-hat = K-hat g per sample and w-hat = D * g-hat, v receives U w-hat,
+    A_j the rotated Khatri-Rao VJP of g y-hat^T, and the Grams and alpha
+    :func:`_spectral_grads` of g-hat and x-hat.
     """
     sizes = r.axis_sizes
     k_hat, spread = _khatri_rao(_eigen_factors(r, factors), True)
-    y_hat = _weighted(r, r.to_eigenbasis(v.data.reshape(*sizes, -1)))
+    y_hat, x_side = _weighted(r, r.to_eigenbasis(v.data.reshape(*sizes, -1)))
     k3 = _blocks(k_hat, batch, 0)  # (B, n_q, M)
     y3 = _blocks(y_hat.reshape(k_hat.shape[1], -1), batch, 1)  # (B, M, h)
     out = _unblocks(k3 @ y3, 0)
@@ -299,23 +266,11 @@ def resolvent_decode_ad(
         a_bars = [None] * len(factors)
         if any(f.requires_grad for f in factors):
             a_bars = _factor_grads(r, _unblocks(g3 @ y3.swapaxes(1, 2), 0), spread, True)
-        w_hat = _unblocks(k3.swapaxes(1, 2) @ g3, 1).reshape(y_hat.shape)
-        w_hat *= r.diag_weights[..., None]
+        w_hat, g_side = _weighted(r, _unblocks(k3.swapaxes(1, 2) @ g3, 1).reshape(y_hat.shape))
         k_bars, a_bar = [None] * len(grams), None
         if alpha.requires_grad or any(k.requires_grad for k in grams):
-            k_bars, a_bar = _spectral_grads(r, w_hat, y_hat, grams, alpha)
+            k_bars, a_bar = _spectral_grads(r, g_side, x_side, grams, alpha)
         v_bar = r.from_eigenbasis(w_hat) if v.requires_grad else None
         return [*a_bars, v_bar, *k_bars, a_bar]
 
     return custom_op([*factors, v, *grams, alpha], out, backward)
-
-
-def truncated_ad(x: Tensor, grams: list[Tensor], alpha: Tensor, order: int) -> Tensor:
-    """Horner recursion s <- x + alpha * K s with K = kron(grams)."""
-    s = x
-    for _ in range(order):
-        ks = s
-        for j, k in enumerate(grams):
-            ks = mode_apply_ad(ks, k, j)
-        s = x + alpha * ks
-    return s

@@ -1,18 +1,19 @@
 """Discrete infinite- and finite-order kernel operators on the latent grid.
 
-Both infinite-order constructions share one eigen-factored form: with
+All three constructions share one eigen-factored form: with
 K_j = U_j diag(lambda_j) U_j^T and U = U_1 (x) ... (x) U_d, each is
-R = U diag(D) U^T for a weight tensor D on the product eigen-grid.
+R = U diag(D) U^T for a weight tensor D on the product eigen-grid. With
+Lambda = prod_j lambda_j:
 
 * Vanilla: the full resolvent (I_M - alpha * K)^-1 with K the Kronecker
-  product of axis Grams, D = 1 / (1 - alpha * prod_j lambda_j).
+  product of axis Grams, D = 1 / (1 - alpha * Lambda).
 * TP: the Kronecker product of per-axis resolvents (I_N - alpha * K_j)^-1,
   D = prod_j 1 / (1 - alpha * lambda_j). Not algebraically identical to
   Vanilla for d >= 2.
 * Truncated: the order-p Neumann partial sum I + alpha*K + ... + (alpha*K)^p,
-  evaluated by :func:`ikno.ops_ad.truncated_ad`'s Horner recursion.
+  D = P_p(alpha * Lambda) with P_p(mu) = 1 + mu + ... + mu^p.
 
-Neither resolvent ever materializes an M x M matrix. A dense naive-inverse
+None of them ever materializes an M x M matrix. A dense naive-inverse
 path doubles as correctness oracle and benchmark foil.
 """
 
@@ -36,6 +37,7 @@ __all__ = [
     "Resolvent",
     "build_vanilla",
     "build_tp",
+    "build_truncated",
     "apply_resolvent",
     "apply_vanilla",
     "apply_naive_inverse",
@@ -50,16 +52,21 @@ _DIAG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Resolvent:
-    """R = U diag(D) U^T, built by :func:`build_vanilla` or :func:`build_tp`.
+    """R = U diag(D) U^T, built by :func:`build_vanilla`, :func:`build_tp`
+    or :func:`build_truncated`.
 
-    Along axis j the divided difference of D is alpha * c_j * D_a * D_b,
-    where c_j does not vary along axis j: prod_{l != j} lambda_l for
-    vanilla, prod_{l != j} (1 - alpha * lambda_l) for tp. ``cofactors``
-    holds c_j with axis j of size 1. D depends on alpha only through the
+    Along axis j the divided difference of D between eigenvalues a and b
+    of K_j is alpha * c_j * sum_i F_i[a] G_i[b], a sum of rank-one
+    ``pairs`` (F_i, G_i) on the eigen-grid, where c_j does not vary along
+    axis j: prod_{l != j} lambda_l for vanilla and truncated,
+    prod_{l != j} (1 - alpha * lambda_l) for tp. ``cofactors`` holds c_j
+    with axis j of size 1. Vanilla and tp have the single pair (D, D),
+    stored as ``pairs = None``. D depends on alpha only through the
     products alpha * lambda_j, so alpha dD/dalpha = euler * sum_j lambda_j
-    dD/dlambda_j with euler = 1/d (vanilla) or 1 (tp). The Gram and alpha
-    gradients of :func:`ikno.ops_ad.resolvent_encode_ad` and
-    :func:`ikno.ops_ad.resolvent_decode_ad` are built from these two.
+    dD/dlambda_j with euler = 1/d (vanilla, truncated) or 1 (tp). The Gram
+    and alpha gradients of :func:`ikno.ops_ad.resolvent_encode_ad` and
+    :func:`ikno.ops_ad.resolvent_decode_ad` are built from these
+    (Daleckii-Krein; Bhatia, *Matrix Analysis*, 1997, ch. V).
     """
 
     axis_eigs: tuple[SymEig, ...]
@@ -68,6 +75,7 @@ class Resolvent:
     neumann_valid: bool  # the Neumann series of R converges
     cofactors: tuple[np.ndarray, ...]
     euler: float
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
 
     @property
     def axis_sizes(self) -> tuple[int, ...]:
@@ -150,9 +158,35 @@ def build_tp(axis_grams, alpha: float) -> Resolvent:
     )
 
 
+def build_truncated(axis_grams, alpha: float, order: int) -> Resolvent:
+    """The order-p partial sum sum_{k <= p} (alpha * K)^k.
+
+    With mu = alpha * Lambda and S_m(mu) = sum_{k <= m} mu^k, D = S_p(mu) by
+    Horner, which stays finite where 1 - mu = 0. Since
+    P(x) - P(y) = (x - y) sum_{i < p} x^i S_{p-1-i}(y), the divided
+    difference has the p pairs (mu^i, S_{p-1-i}(mu)); order 0 has none.
+    """
+    eigs = tuple(sym_eig(g) for g in axis_grams)
+    lams = [e.eigenvalues for e in eigs]
+    mu = alpha * _grid_product(lams)
+    sums = [np.ones_like(mu)]
+    for _ in range(order):
+        sums.append(1.0 + mu * sums[-1])
+    rho = spectral_radius_from_axes(list(eigs), alpha)
+    return Resolvent(
+        axis_eigs=eigs,
+        alpha=float(alpha),
+        diag_weights=sums[order],
+        neumann_valid=bool(rho < 1.0),
+        cofactors=_cofactors(lams),
+        euler=1.0 / len(eigs),
+        pairs=tuple((mu**i, sums[order - 1 - i]) for i in range(order)),
+    )
+
+
 def apply_resolvent(r: Resolvent, t: np.ndarray) -> np.ndarray:
     """R t: rotate into the eigenbasis, scale by D, rotate back (2d mode
-    products for either construction)."""
+    products for any construction)."""
     t = np.asarray(t, dtype=np.float64)
     _check_axes(t, r.axis_sizes)
     return r.from_eigenbasis(r.to_eigenbasis(t) * r.diag_weights[..., None])

@@ -11,16 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 __all__ = ["Rng64", "splitmix64"]
 
 
 def splitmix64(state: int) -> tuple[int, int]:
     """One splitmix64 update; returns (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
+    state = (state + _GAMMA) & _MASK
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return state, (z ^ (z >> 31)) & _MASK
 
 
@@ -38,11 +41,16 @@ class Rng64:
         return lo + (hi - lo) * (u * (1.0 / (1 << 53)))
 
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """The next prod(shape) draws of :meth:`uniform`, bit for bit, in one
+        wrapping uint64 pass: after k steps the state is seed + k * gamma
+        mod 2^64."""
         n = int(np.prod(shape))
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = self.uniform(lo, hi)
-        return out.reshape(shape)
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._state = (self._state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        u = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
+        return (lo + (hi - lo) * (u * (1.0 / (1 << 53)))).reshape(shape)
 
     def integer(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (unbiased)."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import data
 from .kernels import AxisKernelParams, PointCloud, product_kernel_eval, axis_gram
-from .model import ModelConfig, init_params
+from .model import ModelConfig, alpha_indices, init_params
 from .resolvent import (
     apply_naive_inverse,
     apply_resolvent,
@@ -297,34 +297,44 @@ def suite_positive_definite(cases: int = 200, seed: int = 0) -> CheckResult:
 def suite_gradient(
     seed: int = 0,
     cases=(
-        ("tp", 2, (6,)),
-        ("vanilla", 2, (6,)),
-        ("truncated", 2, (6,)),
-        ("vanilla", 3, (6,)),
-        ("tp", 3, (6,)),
-        ("vanilla", 2, (6, 6, 4)),
+        ("tp", 2, (6,), 1, None),
+        ("vanilla", 2, (6,), 1, None),
+        ("truncated", 2, (6,), 1, None),
+        ("vanilla", 3, (6,), 1, None),
+        ("tp", 3, (6,), 1, None),
+        ("vanilla", 2, (6, 6, 4), 1, None),
+        ("truncated", 2, (6,), 3, -0.05),
     ),
 ) -> CheckResult:
     """Analytic gradient vs. central finite differences on toy models.
 
-    ``cases`` are (variant, dim, cloud sizes) with one sample of 5 queries
-    per cloud size. The d=3 cases cover the Khatri-Rao VJP of the
-    eigenbasis-rotated cross-kernel factors, where each axis meets a
-    product of two other factors, and the Gram gradients of the fused
-    encode and decode ops, with two other axes' cofactors applied. The last
-    case's batch runs as a stacked group of two samples plus a group of
-    one, so both ops see 2*h channels.
+    ``cases`` are (variant, dim, cloud sizes, truncation order, alpha) with
+    one sample of 5 queries per cloud size; an alpha replaces every
+    branch's perturbed initial alpha of about -1. The d=3 cases cover the
+    Khatri-Rao VJP of the eigenbasis-rotated cross-kernel factors, where
+    each axis meets a product of two other factors, and the Gram gradients
+    of the fused encode and decode ops, with two other axes' cofactors
+    applied. The (6, 6, 4) case's batch runs as a stacked group of two
+    samples plus a group of one, so both ops see 2*h channels. Truncated
+    order 1 has a single divided-difference pair in its Gram gradient and
+    order 3 sums three. The order-3 case runs at alpha = -0.05, where
+    |alpha * prod_j lambda_j| < 1: at alpha = -1 the cubic partial sum
+    (|alpha * prod_j lambda_j| up to 19) makes the loss about 2e8, and its
+    rounding noise in the finite differences exceeds the 1e-6 floor on
+    parameters whose gradient is exactly 0.
     """
     rng = Rng64(seed ^ 0x6AD)
     worst = 0.0
     detail = ""
-    for variant, dim, sizes in cases:
+    for variant, dim, sizes, order, alpha in cases:
         cfg = ModelConfig(
             dim=dim, grid_l=4, hidden=8, branches=2, in_channels=1,
-            processor="identity", variant=variant,
+            processor="identity", variant=variant, truncation_order=order,
         )
         pv = init_params(cfg, seed)
         pv.values += rng.uniform_array(pv.size, -0.05, 0.05)
+        if alpha is not None:
+            pv.values[alpha_indices(cfg, pv)] = alpha
         batch = []
         for n in sizes:
             cloud = PointCloud(
@@ -346,7 +356,7 @@ def suite_gradient(
         dev = float(rel.max()) if mask.any() else 0.0
         if dev > worst:
             worst = dev
-            detail = f"variant={variant} dim={dim} clouds={sizes} params={pv.size}"
+            detail = f"variant={variant} order={order} dim={dim} clouds={sizes} params={pv.size}"
     return CheckResult(
         name="analytic-vs-fd-gradient",
         passed=worst <= 1e-4,

@@ -130,16 +130,20 @@ def test_mode_products_do_not_grow_with_batch(variant):
     assert counts[0] == counts[1] > 0
 
 
-@pytest.mark.parametrize("variant", ["tp", "vanilla"])
+@pytest.mark.parametrize("variant", ["tp", "vanilla", "truncated-p1", "truncated-p3"])
 @pytest.mark.parametrize("fixed", [False, True])
 def test_resolvent_step_takes_4d_mode_products(monkeypatch, variant, fixed):
     # the cross kernels enter the eigenbasis through their axis factors, so
     # each direction's op rotates the grid once (d mode products) in the
     # forward and once in the backward: 4d per branch and step, learnable
-    # or not; a fixed window's Grams and alpha need no gradient, so its
-    # backward never forms their contraction
+    # or not, whatever the truncation order; a fixed window's Grams and
+    # alpha need no gradient, so its backward never forms their contraction
     window = LinearWindowKernel(radius=0.6, scale=1.0, alpha=-0.15) if fixed else None
-    cfg = make_config(variant=variant, processor="mlp", grid_l=8, branches=1, fixed_window=window)
+    variant, _, order = variant.partition("-p")
+    cfg = make_config(
+        variant=variant, truncation_order=int(order or 1), processor="mlp", grid_l=8,
+        branches=1, fixed_window=window,
+    )
     pv = make_params(cfg)
     batch = make_batch(np.random.default_rng(6), cfg.dim, [(6, 4)] * 2)
     spectral_calls = []

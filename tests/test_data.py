@@ -43,6 +43,17 @@ class TestRng:
         r = Rng64(9)
         assert r.child(0).next_u64() != r.child(1).next_u64()
 
+    @pytest.mark.parametrize("seed", [0, 77, 2**64 - 5, 12345678901234])
+    @pytest.mark.parametrize("shape", [(1000,), (7, 9), (0,), (3, 4, 5)])
+    def test_uniform_array_matches_scalar_draws(self, seed, shape):
+        # the vectorized draws against the scalar generator, element by
+        # element, and the state each leaves behind
+        fast, slow = Rng64(seed), Rng64(seed)
+        x = fast.uniform_array(shape, -0.3, 0.7)
+        ref = np.array([slow.uniform(-0.3, 0.7) for _ in range(int(np.prod(shape)))])
+        assert x.shape == shape and x.tobytes() == ref.tobytes()
+        assert fast.next_u64() == slow.next_u64()
+
 
 @pytest.mark.parametrize(
     "gen, spec",

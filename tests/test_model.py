@@ -19,7 +19,7 @@ from ikno.model import (
     tokenize,
 )
 from ikno.autodiff import Tensor
-from ikno.ops_ad import axis_kernel_ad
+from ikno.ops_ad import _khatri_rao, axis_kernel_ad
 from ikno.resolvent import apply_resolvent, build_vanilla
 from ikno.kernels import axis_gram, grid_linspace
 from ikno.tensor_linalg import kron_materialize
@@ -202,8 +202,9 @@ class TestCrossKernel:
         grid = grid_linspace(dim, 4)
         graph = _np_graph(cfg, pv)
         for b, br in enumerate(decode_kernel_params(cfg, pv).branches):
-            kgp = graph.cross(b, pts).data
-            kqg = graph.cross(b, pts, transpose=True).data
+            factors = [f.data for f in graph.cross_factors(b, pts)]
+            kgp, _ = _khatri_rao(factors, False)
+            kqg, _ = _khatri_rao(factors, True)
             ref = cross_kernel(br.axis_params, grid, pts)
             assert kgp.shape == (grid.num_points, n)
             assert kqg.shape == (n, grid.num_points)

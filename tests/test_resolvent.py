@@ -7,14 +7,14 @@ from ikno.errors import (
     NonSymmetricError,
     ShapeMismatchError,
     SingularAxisError,
+    SingularDiagonalError,
 )
-from ikno.autodiff import Tensor
 from ikno.kernels import AxisKernelParams, axis_gram
-from ikno.ops_ad import truncated_ad
 from ikno.resolvent import (
     apply_naive_inverse,
     apply_resolvent,
     build_tp,
+    build_truncated,
     build_vanilla,
     inverse_power_partial_sum,
 )
@@ -150,7 +150,11 @@ class TestTP:
         assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
-@pytest.mark.parametrize("build", [build_vanilla, build_tp])
+def build_truncated_p2(grams, alpha):
+    return build_truncated(grams, alpha, 2)
+
+
+@pytest.mark.parametrize("build", [build_vanilla, build_tp, build_truncated_p2])
 class TestBuildErrors:
     def test_non_symmetric_gram(self, build):
         with pytest.raises(NonSymmetricError):
@@ -162,14 +166,17 @@ class TestBuildErrors:
 
 
 def truncated(grams, alpha, order, t):
-    """The order-p partial sum through the AD op, over constant tensors."""
-    return truncated_ad(Tensor(t), [Tensor(k) for k in grams], Tensor(alpha), order).data
+    """The order-p partial sum, applied in the axis eigenbasis."""
+    return apply_resolvent(build_truncated(grams, alpha, order), t)
 
 
 class TestTruncated:
     def test_p0_identity(self):
+        # D is exactly 1; the two rotations U U^T round in the last bits
         t = np.array([[1.0], [2.0]])
-        assert np.array_equal(truncated([K2], -0.5, 0, t), t)
+        r = build_truncated([K2], -0.5, 0)
+        assert np.array_equal(r.diag_weights, np.ones(2)) and r.pairs == ()
+        assert np.abs(apply_resolvent(r, t) - t).max() <= 4 * np.finfo(float).eps
 
     def test_p1_scalar(self):
         assert np.allclose(truncated([np.array([[1.0]])], -0.5, 1, np.array([[1.0]])), [[0.5]])
@@ -188,6 +195,18 @@ class TestTruncated:
                 assert err < prev
             prev = err
         assert prev <= 1e-6
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_where_vanilla_is_singular(self, order):
+        # alpha * lambda = 1 on the top eigenvalue of K2: the partial sum is
+        # finite there, with D = p + 1, while the resolvent does not exist
+        r = build_truncated([K2], 1.0 / 1.5, order)
+        assert np.isclose(r.diag_weights.max(), order + 1, rtol=1e-14, atol=0.0)
+        assert not r.neumann_valid
+        t = np.array([[1.0], [1.0]])  # the top eigenvector, unnormalized
+        assert np.allclose(truncated([K2], 1.0 / 1.5, order, t), (order + 1) * t, rtol=1e-14)
+        with pytest.raises(SingularDiagonalError):
+            build_vanilla([K2], 1.0 / 1.5)
 
 
 class TestNaiveInverse:

@@ -4,10 +4,10 @@ For a stacked batch with per-sample cross kernels K_i (the dense column-wise
 Kronecker products of the axis factors' column blocks) and an upstream
 gradient g, the encoder op's VJP must give the gradient of
 f = sum_i <g_i, R K_i V_i> and the decoder op's that of
-f = sum_i <g_i, K_i^T R v_i>, with R the dense (I - alpha*K)^-1 for vanilla
-and the Kronecker product of the per-axis inverses for tp. Grams are
-symmetric, so a Gram is perturbed symmetrically and checked through
-K_bar + K_bar^T.
+f = sum_i <g_i, K_i^T R v_i>, with R the dense (I - alpha*K)^-1 for vanilla,
+the Kronecker product of the per-axis inverses for tp and the partial sum
+sum_{k <= p} (alpha*K)^k for truncated order p. Grams are symmetric, so a
+Gram is perturbed symmetrically and checked through K_bar + K_bar^T.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ import pytest
 from ikno.autodiff import Tensor
 from ikno.kernels import AxisKernelParams, axis_gram
 from ikno.ops_ad import resolvent_decode_ad, resolvent_encode_ad
-from ikno.resolvent import build_tp, build_vanilla
+from ikno.resolvent import build_tp, build_truncated, build_vanilla
 from ikno.tensor_linalg import dense_inverse, kron_materialize
 
 CHANNELS = 3
@@ -28,7 +28,14 @@ def dense_resolvent(variant, grams, alpha):
     if variant == "vanilla":
         k = kron_materialize(grams)
         return dense_inverse(np.eye(len(k)) - alpha * k)
-    return kron_materialize([dense_inverse(np.eye(len(k)) - alpha * k) for k in grams])
+    if variant == "tp":
+        return kron_materialize([dense_inverse(np.eye(len(k)) - alpha * k) for k in grams])
+    ak = alpha * kron_materialize(grams)
+    term = total = np.eye(len(ak))
+    for _ in range(TRUNCATED_ORDERS[variant]):
+        term = ak @ term
+        total = total + term
+    return total
 
 
 def dense_cross(factors):
@@ -51,7 +58,15 @@ def oracle(direction, variant, factors, v, grams, alpha, batch):
 
 
 OPS = {"encode": resolvent_encode_ad, "decode": resolvent_decode_ad}
-BUILDS = {"vanilla": build_vanilla, "tp": build_tp}
+TRUNCATED_ORDERS = {f"truncated-p{p}": p for p in (0, 1, 3)}
+BUILDS = {
+    "vanilla": build_vanilla,
+    "tp": build_tp,
+    **{
+        name: lambda grams, alpha, p=p: build_truncated(grams, alpha, p)
+        for name, p in TRUNCATED_ORDERS.items()
+    },
+}
 
 
 def make_case(seed, d, direction, n, batch):
