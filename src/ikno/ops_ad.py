@@ -148,14 +148,15 @@ def _factor_grads(r: Resolvent, g_hat: np.ndarray, spread, transpose: bool) -> l
     return [e.eigenvectors @ gj for e, gj in zip(r.axis_eigs, grads)]
 
 
-def _weighted(r: Resolvent, t_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _weighted(r: Resolvent, t_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """D * t-hat for an eigenbasis tensor t-hat, written C-contiguous so that
     its (M, channels) view and the per-sample blocks of that view need no
     copy, and the side of r's divided-difference pairs that t-hat feeds
     :func:`_spectral_grads`: t-hat itself, or D * t-hat for the single pair
-    (D, D) of vanilla and tp, so that their t-hat need not stay alive."""
+    (D, D) of vanilla and tp, so that their t-hat need not stay alive, or
+    None where there are no pairs (truncated order 0)."""
     w = np.multiply(t_hat, r.diag_weights[..., None], order="C")
-    return w, (w if r.pairs is None else t_hat)
+    return w, (w if r.pairs is None else t_hat if r.pairs else None)
 
 
 def _spectral_grads(
@@ -164,22 +165,24 @@ def _spectral_grads(
     """The Gram and alpha gradients of y = R x, from g-hat = U^T g and
     x-hat = U^T x, both (N_1, ..., N_d, channels). For the single pair
     (D, D) of vanilla and tp, ``g_side`` and ``x_side`` are D * g-hat and
-    D * x-hat, which the ops hold anyway; otherwise they are g-hat and x-hat.
+    D * x-hat, which the ops hold anyway; otherwise they are g-hat and x-hat,
+    and neither is read where there are no pairs.
 
     The divided difference of D along axis j is
     alpha * c_j * sum_i F_i[a] G_i[b] over r's pairs, so with
     H_j = sum_i unfold_j(F_i * g-hat) unfold_j(c_j * G_i * x-hat)^T (one
     GEMM per axis and pair), K_j receives alpha * U_j H_j U_j^T and alpha
-    receives euler * sum_j sum_a lambda_j[a] H_j[a, a].
+    receives euler * sum_j sum_a lambda_j[a] H_j[a, a]. The grid-shaped
+    weights c_j * G_i are formed before they meet x-hat.
     """
     if r.pairs is None:
-        terms = [(g_side, x_side)]
+        terms = [(g_side, r.cofactors)]
     else:
-        terms = ((f[..., None] * g_side, s[..., None] * x_side) for f, s in r.pairs)
+        terms = ((f[..., None] * g_side, [c * s for c in r.cofactors]) for f, s in r.pairs)
     hs = [np.zeros((n, n)) for n in r.axis_sizes]
-    for left, right in terms:
-        for j, c in enumerate(r.cofactors):
-            hs[j] += _unfold(left, j) @ _unfold(c[..., None] * right, j).T
+    for left, weights in terms:
+        for j, w in enumerate(weights):
+            hs[j] += _unfold(left, j) @ _unfold(w[..., None] * x_side, j).T
     k_bars, g_alpha = [None] * len(grams), 0.0
     for j, (e, h) in enumerate(zip(r.axis_eigs, hs)):
         if grams[j].requires_grad:
@@ -227,9 +230,9 @@ def resolvent_encode_ad(
             a_bars = _factor_grads(r, _unblocks(w3 @ v3.swapaxes(1, 2), 1), spread, False)
         k_bars, a_bar = [None] * len(grams), None
         # a fixed kernel's Grams and alpha need no gradient; x-hat is
-        # recomputed, as the op keeps no copy of it
+        # recomputed, as the op keeps no copy of it, unless r has no pairs
         if alpha.requires_grad or any(k.requires_grad for k in grams):
-            x_side = eigen_features(r.pairs is None)
+            x_side = None if r.pairs == () else eigen_features(r.pairs is None)
             k_bars, a_bar = _spectral_grads(r, g_side, x_side, grams, alpha)
         v_bar = _unblocks(k3.swapaxes(1, 2) @ w3, 0) if v.requires_grad else None
         return [*a_bars, v_bar, *k_bars, a_bar]
