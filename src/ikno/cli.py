@@ -299,7 +299,7 @@ _COMMANDS = {
     }, {"kind": "csines | poisson-gauss"}),
     "verify": _Command(cmd_verify, "run the correctness suites", {
         "seed": 0, "out": "", "cases": 100, "inject_fault": "",
-    }, {"inject_fault": "test hook, e.g. tp-as-vanilla"}),
+    }, {"inject_fault": "test hook: tp-as-vanilla | truncated-order-off-by-one"}),
     "finite-order-study": _Command(
         cmd_finite_order_study, "truncation order sweep vs. infinite variants", {
             "seed": 0, "out": "study-out", "data": "", "steps": 300,

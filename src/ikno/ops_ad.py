@@ -7,10 +7,15 @@ is one op over its (log c, beta, gamma) parameters, whose gradient is three
 reductions against the upstream gradient.
 
 Grid-cloud cross kernels are Khatri-Rao (column-wise Kronecker) products of
-per-axis factors, so their gradient contracts the upstream gradient with the
-other axes' factors and never differentiates through an M x n array of
-exponentials. A stacked batch meets its cross kernels through per-sample
-block products, so the operators see the whole batch as extra channels.
+per-axis factors, and no M x n cross kernel is ever formed, forward or
+backward. :class:`KhatriRaoCross` holds one as its first axis factor A_1
+and the transposed Khatri-Rao product P of the others, N_1 times smaller
+than the kernel, and contracts it one mode at a time: one GEMM against A_1
+per sample, with a wide right-hand side, and one broadcast product with P.
+Its factor gradients come from the same two forms, and P's gradient reaches
+the other factors through a Khatri-Rao VJP over d - 1 factors. A stacked
+batch meets its cross kernels sample by sample, so the operators see the
+whole batch as extra channels.
 
 Every operator variant (vanilla, tp and the truncated partial sum) is
 R = U diag(D) U^T in the axis eigenbasis of a prebuilt
@@ -35,6 +40,7 @@ __all__ = [
     "build_tp",  # build the operators that the resolvent ops take
     "build_truncated",
     "build_vanilla",
+    "KhatriRaoCross",
     "axis_kernel_ad",
     "resolvent_decode_ad",
     "resolvent_encode_ad",
@@ -44,16 +50,6 @@ __all__ = [
 def _unfold(t: np.ndarray, axis: int) -> np.ndarray:
     """Move tensor axis to the front and flatten the rest (channels last)."""
     return np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1)
-
-
-def _spread(a: np.ndarray, axis: int, ndim: int, transpose: bool) -> np.ndarray:
-    """View an (N_j, n) factor as a broadcastable slice of the (N_1, ..., N_d, n)
-    product, or of its (n, N_1, ..., N_d) transpose."""
-    shape = [1] * ndim
-    shape[axis] = a.shape[0]
-    if transpose:
-        return np.ascontiguousarray(a.T).reshape(a.shape[1], *shape)
-    return a.reshape(*shape, a.shape[1])
 
 
 def axis_kernel_ad(theta: Tensor, dx: np.ndarray) -> Tensor:
@@ -83,75 +79,115 @@ def axis_kernel_ad(theta: Tensor, dx: np.ndarray) -> Tensor:
     return custom_op([theta], out, backward)
 
 
-def _khatri_rao(mats: list[np.ndarray], transpose: bool) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The Khatri-Rao product of (N_j, n) factors, (M, n) or its
-    C-contiguous (n, M) transpose, with the broadcastable factor views that
-    :func:`_khatri_rao_vjp` reads."""
-    d = len(mats)
-    n = mats[0].shape[1]
-    m = int(np.prod([a.shape[0] for a in mats]))
-    spread = [_spread(a, j, d, transpose) for j, a in enumerate(mats)]
-    out = spread[0]
-    for f in spread[1:]:
-        out = out * f
-    # explicit shapes: reshape(-1, n) is ambiguous for an empty cloud
-    return np.ascontiguousarray(out.reshape((n, m) if transpose else (m, n))), spread
+class KhatriRaoCross:
+    """A stacked batch's cross kernel K = KR(A_1, ..., A_d), (M, B*n), held
+    factor by factor and never formed; in the ops the factors are the
+    rotated U_j^T A_j, so this is K-hat = U^T K (the mixed-product rule).
+
+    In C order over the grid, K[(a, b), p] = A_1[a, p] P[p, b] with
+    P = KR(A_2, ..., A_d)^T, (B*n, M/N_1) and N_1 times smaller than K (a
+    column of ones at d = 1). So per sample, with a grid tensor read as
+    Y (N_1, (M/N_1)*h) and the points' values X (n, h), K X = A_1 (P . X)
+    is one GEMM against the N_1 x n factor with a wide right-hand side, and
+    K^T Y = sum_b P . (A_1^T Y) is one GEMM and a reduction over b: the
+    Khatri-Rao product contracted one mode at a time (Kolda & Bader,
+    *Tensor Decompositions and Applications*, SIAM Review 51(3), 2009).
+    """
+
+    def __init__(self, factors: list[np.ndarray], batch: int):
+        self.factors = factors
+        self.sizes = tuple(a.shape[0] for a in factors)
+        n1, cols = factors[0].shape
+        n = cols // batch
+        self.a1 = factors[0].reshape(n1, batch, n).swapaxes(0, 1)  # (B, N_1, n)
+        p = np.ones((cols, 1))
+        for a in factors[1:]:
+            rest = p.shape[1] * a.shape[0]
+            p = np.multiply(p[:, :, None], a.T[:, None, :], order="C").reshape(cols, rest)
+        self.p = p.reshape(batch, n, p.shape[1])  # (B, n, M/N_1)
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """T = P . X, (B, n, (M/N_1)*h), from the points' values X, (B*n, h)."""
+        b, n, rest = self.p.shape
+        h = x.shape[-1]
+        t = np.einsum("bnr,bnh->bnrh", self.p, x.reshape(b, n, h), order="C")
+        return t.reshape(b, n, rest * h)
+
+    def to_grid(self, t: np.ndarray) -> np.ndarray:
+        """A_1 T per sample, in the (N_1, ..., N_d, B*h) layout."""
+        out = self.a1 @ t
+        b, n1, _ = out.shape
+        out = out.reshape(b, n1, self.p.shape[2], -1).transpose(1, 2, 0, 3)
+        return np.ascontiguousarray(out).reshape(*self.sizes, -1)
+
+    def sample_major(self, y: np.ndarray) -> np.ndarray:
+        """Y, the (B, N_1, (M/N_1)*h) copy of a grid tensor in the
+        (N_1, ..., N_d, B*h) memory order (a view when B = 1)."""
+        b, n1 = self.p.shape[0], self.sizes[0]
+        return y.reshape(n1, self.p.shape[2], b, -1).transpose(2, 0, 1, 3).reshape(b, n1, -1)
+
+    def from_grid(self, ys: np.ndarray) -> np.ndarray:
+        """S = A_1^T Y per sample, (B, n, M/N_1, h)."""
+        b, n, rest = self.p.shape
+        return (self.a1.swapaxes(1, 2) @ ys).reshape(b, n, rest, ys.shape[2] // rest)
+
+    def rest_sum(self, s: np.ndarray) -> np.ndarray:
+        """sum_b P . S, stacked as (B*n, h)."""
+        b, n, _, h = s.shape
+        return (self.p[:, :, None, :] @ s).reshape(b * n, h)
+
+    def rest_grad(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """sum_h S . X, (B, n, M/N_1), with X the points' (B*n, h) values."""
+        b, n, _, h = s.shape
+        return (s @ x.reshape(b, n, h, 1))[..., 0]
+
+    def grid_sum(self, x: np.ndarray) -> np.ndarray:
+        """K X per sample, (N_1, ..., N_d, B*h), from stacked (B*n, h) X."""
+        return self.to_grid(self.products(x))
+
+    def point_sum(self, y: np.ndarray) -> np.ndarray:
+        """K^T Y per sample, (B*n, h), from Y in the (N_1, ..., N_d, B*h)
+        memory order."""
+        return self.rest_sum(self.from_grid(self.sample_major(y)))
+
+    def factor_grads(self, a1_bar: np.ndarray, p_bar: np.ndarray | None) -> list[np.ndarray]:
+        """The (N_j, B*n) factor gradients, from A_1's per-sample (B, N_1, n)
+        gradient and P's (B, n, M/N_1) gradient (None at d = 1). P's reaches
+        A_2, ..., A_d through the Khatri-Rao VJP over those d - 1 factors:
+        for each axis, multiply by the other axes' factors and sum over
+        their axes."""
+        b, n1, n = a1_bar.shape
+        grads = [a1_bar.swapaxes(0, 1).reshape(n1, b * n)]
+        rest = self.sizes[1:]
+        if rest:
+            t = p_bar.reshape(b * n, *rest)
+            spread = [
+                a.T.reshape(b * n, *(s if k == l else 1 for k, s in enumerate(rest)))
+                for l, a in enumerate(self.factors[1:])
+            ]
+            for j in range(len(rest)):
+                x = t
+                for l, f in enumerate(spread):
+                    if l != j:
+                        x = x * f
+                grads.append(x.sum(axis=tuple(1 + l for l in range(len(rest)) if l != j)).T)
+        return grads
 
 
-def _khatri_rao_vjp(g: np.ndarray, spread: list[np.ndarray], transpose: bool) -> list[np.ndarray]:
-    """The (N_j, n) factor gradients of a Khatri-Rao product whose upstream
-    gradient is ``g``: reshape it to the grid, multiply by the other axes'
-    factors and sum over their axes."""
-    d = len(spread)
-    sizes = tuple(f.shape[1 + j if transpose else j] for j, f in enumerate(spread))
-    n = spread[0].shape[0 if transpose else -1]
-    gt = g.reshape((n, *sizes) if transpose else (*sizes, n))
-    grid_axes = [1 + j if transpose else j for j in range(d)]
-    grads = []
-    for j in range(d):
-        t = gt
-        for l in range(d):
-            if l != j:
-                t = t * spread[l]
-        gj = t.sum(axis=tuple(a for l, a in enumerate(grid_axes) if l != j))
-        grads.append(gj.T if transpose else gj)
-    return grads
+def _eigen_cross(r: Resolvent, factors: list[Tensor], batch: int) -> KhatriRaoCross:
+    """K-hat = U^T KR(A_1, ..., A_d) = KR(U_1^T A_1, ..., U_d^T A_d): the
+    cross kernel enters the eigenbasis through its small factors."""
+    return KhatriRaoCross([e.eigenvectors.T @ f.data for e, f in zip(r.axis_eigs, factors)], batch)
 
 
-def _blocks(x: np.ndarray, batch: int, axis: int) -> np.ndarray:
-    """(B, r, c) view of a 2-D array that stacks B blocks along ``axis``."""
-    r, c = x.shape
-    if axis == 0:
-        return x.reshape(batch, r // batch, c)
-    return x.reshape(r, batch, c // batch).swapaxes(0, 1)
-
-
-def _unblocks(x: np.ndarray, axis: int) -> np.ndarray:
-    """Inverse of :func:`_blocks`: stack the B blocks of x along ``axis``."""
-    b, r, c = x.shape
-    if axis == 0:
-        return x.reshape(b * r, c)
-    return x.swapaxes(0, 1).reshape(r, b * c)
-
-
-def _eigen_factors(r: Resolvent, factors: list[Tensor]) -> list[np.ndarray]:
-    """U_j^T A_j for each (N_j, n) axis factor A_j: by the mixed-product rule
-    U^T KR(A_1, ..., A_d) = KR(U_1^T A_1, ..., U_d^T A_d), so a cross kernel
-    enters the eigenbasis through its small factors, not the grid."""
-    return [e.eigenvectors.T @ f.data for e, f in zip(r.axis_eigs, factors)]
-
-
-def _factor_grads(r: Resolvent, g_hat: np.ndarray, spread, transpose: bool) -> list[np.ndarray]:
-    """A_j's gradient U_j * (the Khatri-Rao VJP of g-hat), from the gradient
-    g-hat of the rotated cross kernel U^T K."""
-    grads = _khatri_rao_vjp(g_hat, spread, transpose)
-    return [e.eigenvectors @ gj for e, gj in zip(r.axis_eigs, grads)]
+def _rotate_back(r: Resolvent, a_hat_bars: list[np.ndarray]) -> list[np.ndarray]:
+    """A_j's gradient U_j A-hat_j-bar, from the rotated factors' gradients."""
+    return [e.eigenvectors @ g for e, g in zip(r.axis_eigs, a_hat_bars)]
 
 
 def _weighted(r: Resolvent, t_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """D * t-hat for an eigenbasis tensor t-hat, written C-contiguous so that
-    its (M, channels) view and the per-sample blocks of that view need no
-    copy, and the side of r's divided-difference pairs that t-hat feeds
+    its reshapes need no copy, and the side of r's divided-difference pairs that t-hat feeds
     :func:`_spectral_grads`: t-hat itself, or D * t-hat for the single pair
     (D, D) of vanilla and tp, so that their t-hat need not stay alive, or
     None where there are no pairs (truncated order 0)."""
@@ -192,6 +228,13 @@ def _spectral_grads(
     return k_bars, a_bar
 
 
+
+
+def _spectral_needed(grams: list[Tensor], alpha: Tensor) -> bool:
+    """A fixed kernel's Grams and alpha need no gradient."""
+    return alpha.requires_grad or any(k.requires_grad for k in grams)
+
+
 def resolvent_encode_ad(
     r: Resolvent, factors: list[Tensor], v: Tensor, grams: list[Tensor], alpha: Tensor, batch: int
 ) -> Tensor:
@@ -201,40 +244,45 @@ def resolvent_encode_ad(
     ``r`` is the operator U diag(D) U^T built from the values of ``grams``
     and ``alpha``; ``factors`` are the (N_j, B*n) axis factors of the
     encoder's cross kernel K_GP = KR(A_1, ..., A_d), and ``v`` the (B*n, h)
-    point tokens. With A-hat_j = U_j^T A_j and K-hat = KR(A-hat), the
-    forward pass is x-hat = K-hat V per sample and y-hat = D * x-hat, then
+    point tokens. With the rotated K-hat = U^T K_GP held as a
+    :class:`KhatriRaoCross` (A-hat_1 and P), the forward pass is
+    x-hat = A-hat_1 (P . V) per sample and y-hat = D * x-hat, then
     y = U y-hat: d mode products. The backward pass takes d more, for
-    g-hat = U^T g and w-hat = D * g-hat: V receives K-hat^T w-hat, A_j the
-    rotated Khatri-Rao VJP of w-hat V^T, and the Grams and alpha
+    g-hat = U^T g and w-hat = D * g-hat. With W = w-hat read per sample and
+    S = A-hat_1^T W, V receives sum_b P . S, P receives sum_h S . V,
+    A-hat_1 receives W (P . V)^T, and the Grams and alpha
     :func:`_spectral_grads` of g-hat and x-hat. U is never differentiated:
     R acts on K_GP V, which does not depend on the Grams, so the rotation
-    only re-associates the product.
+    only re-associates the product. No M x (B*n) array is formed in either
+    pass.
     """
-    sizes = r.axis_sizes
-    k_hat, spread = _khatri_rao(_eigen_factors(r, factors), False)
-    k3, v3 = _blocks(k_hat, batch, 1), _blocks(v.data, batch, 0)  # (B, M, n), (B, n, h)
-
-    def eigen_features(weighted: bool) -> np.ndarray:  # y-hat, or x-hat
-        t = _unblocks(k3 @ v3, 1).reshape(*sizes, -1)
-        if weighted:
-            t *= r.diag_weights[..., None]
-        return t
-
-    y = r.from_eigenbasis(eigen_features(True))
+    cross = _eigen_cross(r, factors, batch)
+    y_hat = cross.grid_sum(v.data)
+    y_hat *= r.diag_weights[..., None]
+    y = r.from_eigenbasis(y_hat)
 
     def backward(g):
         w_hat, g_side = _weighted(r, r.to_eigenbasis(g))
-        w3 = _blocks(w_hat.reshape(k_hat.shape[0], -1), batch, 1)  # (B, M, h)
-        a_bars = [None] * len(factors)
-        if any(f.requires_grad for f in factors):
-            a_bars = _factor_grads(r, _unblocks(w3 @ v3.swapaxes(1, 2), 1), spread, False)
+        learnable, spectral = any(f.requires_grad for f in factors), _spectral_needed(grams, alpha)
+        # T = P . V (and from it x-hat) is recomputed, as the op keeps no copy
+        t = cross.products(v.data) if learnable or (spectral and r.pairs != ()) else None
+        a_bars, v_bar = [None] * len(factors), None
+        if learnable or v.requires_grad:
+            ws = cross.sample_major(w_hat)
+            s = cross.from_grid(ws)
+            if v.requires_grad:
+                v_bar = cross.rest_sum(s)
+            if learnable:
+                p_bar = cross.rest_grad(s, v.data) if len(factors) > 1 else None
+                a_bars = _rotate_back(r, cross.factor_grads(ws @ t.swapaxes(1, 2), p_bar))
         k_bars, a_bar = [None] * len(grams), None
-        # a fixed kernel's Grams and alpha need no gradient; x-hat is
-        # recomputed, as the op keeps no copy of it, unless r has no pairs
-        if alpha.requires_grad or any(k.requires_grad for k in grams):
-            x_side = None if r.pairs == () else eigen_features(r.pairs is None)
+        if spectral:
+            x_side = None
+            if r.pairs != ():
+                x_side = cross.to_grid(t)
+                if r.pairs is None:
+                    x_side *= r.diag_weights[..., None]
             k_bars, a_bar = _spectral_grads(r, g_side, x_side, grams, alpha)
-        v_bar = _unblocks(k3.swapaxes(1, 2) @ w3, 0) if v.requires_grad else None
         return [*a_bars, v_bar, *k_bars, a_bar]
 
     return custom_op([*factors, v, *grams, alpha], y, backward)
@@ -251,27 +299,29 @@ def resolvent_decode_ad(
     K_QG = KR(A_1, ..., A_d)^T, and ``v`` holds the latent features in the
     (N_1, ..., N_d, B*h) memory order, as (M*B, h) or grid-shaped. The
     forward pass takes d mode products for x-hat = U^T v and
-    y-hat = D * x-hat, then out = K-hat^T y-hat per sample with
-    K-hat = KR(U_j^T A_j). The backward pass takes d more: with
-    g-hat = K-hat g per sample and w-hat = D * g-hat, v receives U w-hat,
-    A_j the rotated Khatri-Rao VJP of g y-hat^T, and the Grams and alpha
-    :func:`_spectral_grads` of g-hat and x-hat.
+    y-hat = D * x-hat, then, with K-hat = U^T K_QG^T held as a
+    :class:`KhatriRaoCross`, Y = y-hat read per sample and
+    S = A-hat_1^T Y, out = sum_b P . S. The backward pass takes d more:
+    with T = P . g, g-hat = A-hat_1 T per sample and w-hat = D * g-hat,
+    v receives U w-hat, A-hat_1 receives Y T^T, P receives sum_h S . g
+    (S recomputed from y-hat), and the Grams and alpha
+    :func:`_spectral_grads` of g-hat and x-hat. No M x (B*n_q) array is
+    formed in either pass.
     """
-    sizes = r.axis_sizes
-    k_hat, spread = _khatri_rao(_eigen_factors(r, factors), True)
-    y_hat, x_side = _weighted(r, r.to_eigenbasis(v.data.reshape(*sizes, -1)))
-    k3 = _blocks(k_hat, batch, 0)  # (B, n_q, M)
-    y3 = _blocks(y_hat.reshape(k_hat.shape[1], -1), batch, 1)  # (B, M, h)
-    out = _unblocks(k3 @ y3, 0)
+    cross = _eigen_cross(r, factors, batch)
+    y_hat, x_side = _weighted(r, r.to_eigenbasis(v.data.reshape(*r.axis_sizes, -1)))
+    out = cross.point_sum(y_hat)
 
     def backward(g):
-        g3 = _blocks(g, batch, 0)  # (B, n_q, h)
+        t = cross.products(g)
         a_bars = [None] * len(factors)
         if any(f.requires_grad for f in factors):
-            a_bars = _factor_grads(r, _unblocks(g3 @ y3.swapaxes(1, 2), 0), spread, True)
-        w_hat, g_side = _weighted(r, _unblocks(k3.swapaxes(1, 2) @ g3, 1).reshape(y_hat.shape))
+            ys = cross.sample_major(y_hat)
+            p_bar = cross.rest_grad(cross.from_grid(ys), g) if len(factors) > 1 else None
+            a_bars = _rotate_back(r, cross.factor_grads(ys @ t.swapaxes(1, 2), p_bar))
+        w_hat, g_side = _weighted(r, cross.to_grid(t))
         k_bars, a_bar = [None] * len(grams), None
-        if alpha.requires_grad or any(k.requires_grad for k in grams):
+        if _spectral_needed(grams, alpha):
             k_bars, a_bar = _spectral_grads(r, g_side, x_side, grams, alpha)
         v_bar = r.from_eigenbasis(w_hat) if v.requires_grad else None
         return [*a_bars, v_bar, *k_bars, a_bar]

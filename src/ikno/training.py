@@ -41,6 +41,7 @@ __all__ = [
     "temporal_target",
     "temporal_reconstruct",
     "grad_fd",
+    "fd_steps",
     "grad_analytic",
     "loss_and_grad",
     "batch_loss",
@@ -165,6 +166,11 @@ def temporal_reconstruct(mode: str, u_now: np.ndarray, prediction: np.ndarray, t
 # -- gradients ---------------------------------------------------------------
 
 
+def fd_steps(params: np.ndarray, probe_eps: float = 1e-5) -> np.ndarray:
+    """The per-coordinate step h of :func:`grad_fd`."""
+    return probe_eps * (1.0 + np.abs(params))
+
+
 def grad_fd(loss_closure, params: np.ndarray, probe_eps: float = 1e-5) -> np.ndarray:
     """Fourth-order central differences, eps scaled per coordinate.
 
@@ -174,8 +180,9 @@ def grad_fd(loss_closure, params: np.ndarray, probe_eps: float = 1e-5) -> np.nda
     """
     params = np.asarray(params, dtype=np.float64)
     grad = np.zeros_like(params)
+    steps = fd_steps(params, probe_eps)
     for k in range(params.size):
-        eps = probe_eps * (1.0 + abs(params[k]))
+        eps = steps[k]
         losses = []
         for step in (2.0, 1.0, -1.0, -2.0):
             probe = params.copy()

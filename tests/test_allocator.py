@@ -1,7 +1,7 @@
 """Importing ikno fixes glibc's malloc thresholds unless the user set them.
 
-Each round below allocates and frees eight 2 MiB arrays, the size of a
-latent-grid cross kernel. With glibc's dynamic thresholds every round maps
+Each round below allocates and frees eight 2 MiB arrays, the size of an
+M x n array at L = 32 and 256 points. With glibc's dynamic thresholds every round maps
 them afresh and pays one minor fault per 4 KiB page (about 4k a round);
 with the thresholds ikno sets, the freed memory is reused and the rounds
 after the first fault almost never.

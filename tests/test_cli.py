@@ -191,7 +191,7 @@ class TestVerify:
         validate_report(report)
         assert report["all_passed"] is True
         times = [check["wall_time_s"] for check in report["checks"]]
-        assert len(times) == 7 and min(times) >= 0.0
+        assert len(times) == 8 and min(times) >= 0.0
         assert sum(times) <= report["wall_time_s"]
 
     @pytest.mark.parametrize("cases", [0, -1])
@@ -200,7 +200,7 @@ class TestVerify:
             run_all(cases=cases)
 
     def test_zero_cases_exits_2(self, capsys):
-        # zero random instances would report seven vacuous passes
+        # zero random instances would report eight vacuous passes
         assert main(["verify", "--cases", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: cases must be >= 1, got 0\n"
@@ -212,6 +212,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "[FAIL]" in captured.out
         assert "resolvent-oracle-equivalence" in captured.err
+
+    def test_truncated_fault_injection_fails(self, tmp_path, capsys):
+        assert main(["verify", "--cases", "5", "--inject-fault",
+                     "truncated-order-off-by-one", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] resolvent-oracle-equivalence" in captured.out
+        assert captured.out.count("[FAIL]") == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        (oracle,) = [c for c in report["checks"] if not c["passed"]]
+        assert "truncated p=" in oracle["detail"]
 
 
 class TestBenchCli:

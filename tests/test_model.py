@@ -18,12 +18,14 @@ from ikno.model import (
     process,
     tokenize,
 )
-from ikno.autodiff import Tensor
-from ikno.ops_ad import _khatri_rao, axis_kernel_ad
+from ikno.autodiff import Tensor, custom_op
+from ikno import model
+from ikno.ops_ad import KhatriRaoCross, _spectral_grads, axis_kernel_ad
+from ikno.ops_ad import resolvent_decode_ad, resolvent_encode_ad
 from ikno.resolvent import apply_resolvent, build_vanilla
-from ikno.kernels import axis_gram, grid_linspace
+from ikno.kernels import AxisKernelParams, axis_gram, grid_linspace
 from ikno.tensor_linalg import kron_materialize
-from ikno.training import grad_analytic, grad_fd
+from ikno.training import grad_analytic, grad_fd, loss_and_grad
 
 
 def toy_config(**kw):
@@ -189,28 +191,161 @@ class TestEncode:
         assert np.abs(encode(cfg, pv, v_p, cloud) - ref).max() <= 1e-9
 
 
+def _dense_khatri_rao(mats):
+    """(M, cols): column p is kron(A_1[:, p], ..., A_d[:, p])."""
+    out = mats[0]
+    for a in mats[1:]:
+        out = (out[:, None, :] * a[None, :, :]).reshape(out.shape[0] * a.shape[0], a.shape[1])
+    return out
+
+
+def _dense_khatri_rao_vjp(k_bar, mats):
+    sizes = [a.shape[0] for a in mats]
+    t = k_bar.reshape(*sizes, k_bar.shape[1])
+    views = [a.reshape(*(s if l == j else 1 for l, s in enumerate(sizes)), a.shape[1])
+             for j, a in enumerate(mats)]
+    grads = []
+    for j in range(len(mats)):
+        x = t
+        for l, f in enumerate(views):
+            if l != j:
+                x = x * f
+        grads.append(x.sum(axis=tuple(l for l in range(len(mats)) if l != j)))
+    return grads
+
+
+def _spectral_sides(r, w_hat, g_hat, x_hat):
+    """The (g, x) sides that ops_ad._spectral_grads reads for r's pairs."""
+    if r.pairs is None:
+        return w_hat, x_hat * r.diag_weights[..., None]
+    return (None, None) if r.pairs == () else (g_hat, x_hat)
+
+
+def dense_encode_ad(r, factors, v, grams, alpha, batch):
+    """resolvent_encode_ad with the rotated cross kernel K-hat formed densely."""
+    a_hats = [e.eigenvectors.T @ f.data for e, f in zip(r.axis_eigs, factors)]
+    k = _dense_khatri_rao(a_hats)
+    m, n, h = k.shape[0], k.shape[1] // batch, v.shape[-1]
+    blocks = [slice(s * n, (s + 1) * n) for s in range(batch)]
+    x_hat = np.hstack([k[:, b] @ v.data[b] for b in blocks]).reshape(*r.axis_sizes, -1)
+
+    def backward(g):
+        g_hat = r.to_eigenbasis(g)
+        w_hat = g_hat * r.diag_weights[..., None]
+        w3 = w_hat.reshape(m, batch, h)
+        k_bar = np.hstack([w3[:, s] @ v.data[b].T for s, b in enumerate(blocks)])
+        v_bar = np.vstack([k[:, b].T @ w3[:, s] for s, b in enumerate(blocks)])
+        a_bars = [e.eigenvectors @ gj
+                  for e, gj in zip(r.axis_eigs, _dense_khatri_rao_vjp(k_bar, a_hats))]
+        k_bars, a_bar = _spectral_grads(r, *_spectral_sides(r, w_hat, g_hat, x_hat), grams, alpha)
+        return [*a_bars, v_bar, *k_bars, a_bar]
+
+    y = r.from_eigenbasis(x_hat * r.diag_weights[..., None])
+    return custom_op([*factors, v, *grams, alpha], y, backward)
+
+
+def dense_decode_ad(r, factors, v, grams, alpha, batch):
+    """resolvent_decode_ad with the rotated cross kernel K-hat formed densely."""
+    a_hats = [e.eigenvectors.T @ f.data for e, f in zip(r.axis_eigs, factors)]
+    k = _dense_khatri_rao(a_hats)
+    m, n = k.shape[0], k.shape[1] // batch
+    blocks = [slice(s * n, (s + 1) * n) for s in range(batch)]
+    x_hat = r.to_eigenbasis(v.data.reshape(*r.axis_sizes, -1))
+    y3 = (x_hat * r.diag_weights[..., None]).reshape(m, batch, -1)
+    out = np.vstack([k[:, b].T @ y3[:, s] for s, b in enumerate(blocks)])
+
+    def backward(g):
+        g_hat = np.hstack([k[:, b] @ g[b] for b in blocks]).reshape(x_hat.shape)
+        w_hat = g_hat * r.diag_weights[..., None]
+        k_bar = np.hstack([y3[:, s] @ g[b].T for s, b in enumerate(blocks)])
+        a_bars = [e.eigenvectors @ gj
+                  for e, gj in zip(r.axis_eigs, _dense_khatri_rao_vjp(k_bar, a_hats))]
+        k_bars, a_bar = _spectral_grads(r, *_spectral_sides(r, w_hat, g_hat, x_hat), grams, alpha)
+        return [*a_bars, r.from_eigenbasis(w_hat), *k_bars, a_bar]
+
+    return custom_op([*factors, v, *grams, alpha], out, backward)
+
+
 class TestCrossKernel:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 5])
     def test_khatri_rao_matches_dense_oracle(self, dim, n):
+        """KhatriRaoCross's encode-form K_GP V and decode-form K_QG Y, over
+        _Graph.cross_factors, against the dense kernels.cross_kernel."""
         cfg = ModelConfig(dim=dim, grid_l=4, hidden=4, branches=2)
         pv = init_params(cfg, 18)
         rng = np.random.default_rng(19)
         sl, _ = pv.segments["kernel"]
         pv.values[sl] = rng.uniform(-2, 2, sl.stop - sl.start)  # scales of either sign
-        pts = rng.uniform(-1, 1, (n, dim))
         grid = grid_linspace(dim, 4)
         graph = _np_graph(cfg, pv)
-        for b, br in enumerate(decode_kernel_params(cfg, pv).branches):
-            factors = [f.data for f in graph.cross_factors(b, pts)]
-            kgp, _ = _khatri_rao(factors, False)
-            kqg, _ = _khatri_rao(factors, True)
-            ref = cross_kernel(br.axis_params, grid, pts)
-            assert kgp.shape == (grid.num_points, n)
-            assert kqg.shape == (n, grid.num_points)
-            assert np.abs(kgp - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=1.0)
-            ref_t = cross_kernel(br.axis_params, pts, grid)
-            assert np.abs(kqg - ref_t).max(initial=0.0) <= 1e-14 * np.abs(ref_t).max(initial=1.0)
+        for batch in (1, 3):
+            pts = rng.uniform(-1, 1, (batch * n, dim))
+            v = rng.standard_normal((batch * n, 2))
+            y = rng.standard_normal((grid.num_points, batch, 2))
+            for b, br in enumerate(decode_kernel_params(cfg, pv).branches):
+                cross = KhatriRaoCross([f.data for f in graph.cross_factors(b, pts)], batch)
+                kgp = cross.grid_sum(v).reshape(grid.num_points, batch, 2)
+                kqg = cross.point_sum(y).reshape(batch, n, 2)
+                for s in range(batch):
+                    block = slice(s * n, (s + 1) * n)
+                    ref = cross_kernel(br.axis_params, grid, pts[block])
+                    want = ref @ v[block]
+                    scale = (np.abs(ref) @ np.abs(v[block])).max(initial=1.0)
+                    assert np.abs(kgp[:, s] - want).max(initial=0.0) <= 1e-14 * scale
+                    ref_t = cross_kernel(br.axis_params, pts[block], grid)
+                    want_t = ref_t @ y[:, s]
+                    scale_t = (np.abs(ref_t) @ np.abs(y[:, s])).max(initial=1.0)
+                    assert np.abs(kqg[s] - want_t).max(initial=0.0) <= 1e-14 * scale_t
+
+    @pytest.mark.parametrize("op", [resolvent_encode_ad, resolvent_decode_ad],
+                             ids=["encode", "decode"])
+    def test_ops_form_no_cross_kernel(self, op):
+        """At d=2, L=32, n=4096 the (M, n) cross kernel is 32 MiB; neither op,
+        forward or backward, allocates that much at its peak."""
+        grid_l, n, h = 32, 4096, 2
+        rng = np.random.default_rng(23)
+        pts = np.linspace(-1, 1, grid_l)
+        grams = [axis_gram(AxisKernelParams(c=1.0, beta=1.5, gamma=0.8), pts) for _ in range(2)]
+        r = build_vanilla(grams, -0.7)
+        factors = [Tensor(rng.standard_normal((grid_l, n)), requires_grad=True) for _ in range(2)]
+        grams_t = [Tensor(k, requires_grad=True) for k in grams]
+        alpha = Tensor(np.array(-0.7), requires_grad=True)
+        m = grid_l**2
+        v_shape, g_shape = ((n, h), (m, h)) if op is resolvent_encode_ad else ((m, h), (n, h))
+        v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
+        g = Tensor(rng.standard_normal(g_shape))
+        tracemalloc.start()
+        try:
+            y = op(r, factors, v, grams_t, alpha, 1)
+            (y.reshape(*g_shape) * g).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(f.grad.shape == (grid_l, n) for f in factors) and v.grad.shape == v_shape
+        assert peak < m * n * 8
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["vanilla", "tp", "truncated-p3", "fixed-window"])
+    def test_loss_and_grad_match_dense_cross_kernel(self, kind, dim, monkeypatch):
+        """Losses and gradients of a stacked batch against ops that form K-hat."""
+        variant = {"truncated-p3": "truncated", "fixed-window": "vanilla"}.get(kind, kind)
+        window = None
+        if kind == "fixed-window":
+            window = LinearWindowKernel(radius=0.9, scale=1.7, alpha=-0.3)
+        cfg = toy_config(dim=dim, variant=variant, truncation_order=3, processor="mlp",
+                         fixed_window=window, branches=1 if window else 2)
+        pv = init_params(cfg, 24)
+        rng = np.random.default_rng(25)
+        pv.values += rng.uniform(-0.05, 0.05, pv.size)
+        batch = [(toy_cloud(rng, 7, dim), PointCloud(rng.uniform(-1, 1, (4, dim))),
+                  rng.uniform(-1, 1, (4, 1))) for _ in range(3)]
+        loss, grad = loss_and_grad(cfg, pv, batch)
+        monkeypatch.setattr(model, "resolvent_encode_ad", dense_encode_ad)
+        monkeypatch.setattr(model, "resolvent_decode_ad", dense_decode_ad)
+        ref_loss, ref_grad = loss_and_grad(cfg, pv, batch)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
 
 def _window_matrix(win, rows, cols):
@@ -423,9 +558,9 @@ class TestForwardMemory:
     def test_inference_frees_each_cross_kernel(self):
         """A no-gradient forward keeps no graph, so its intermediates die young.
 
-        At d=2, L=32 one M x n cross kernel is 1024 x 256 float64 = 2 MiB,
-        and the 3 branches make six of them; a forward that held its graph
-        kept all of them (and every other intermediate) to the end.
+        At d=2, L=32 and 256 points the bound is 8 MiB, four M x n arrays
+        of float64; a forward that held its graph kept every branch's
+        intermediates to the end.
         """
         cfg = ModelConfig(dim=2, grid_l=32, hidden=16, branches=3, processor="mlp",
                           variant="vanilla")
