@@ -237,9 +237,28 @@ def _grid_for(dim: int, grid_l: int) -> LatentGrid:
     return grid_linspace(dim, grid_l)
 
 
+# Operators built by graphs that record no gradient, least recently used
+# first, keyed by the builder's exact inputs: variant, truncation order and
+# the bytes of alpha and of each Gram. 24 entries cover eight models of the
+# default 3 branches. The largest entry, d = 3, L = 16, truncated p = 4, is
+# about 0.31 MB: D and its 4 divided-difference pairs are nine 32 KiB arrays
+# on the eigen-grid, and the key's Grams, the axis eigensystems and the
+# cofactors add about 18 KiB. So the cache holds at most about 7.5 MB.
+RESOLVENT_CACHE_ENTRIES = 24
+_resolvents: "OrderedDict[tuple, Resolvent]" = OrderedDict()
+
+
 class _Graph:
     """Forward passes over AD tensors for one parameter vector; parameter
-    slices, Grams and resolvents are cached, so a batch's samples share them."""
+    slices, Grams and resolvents are cached, so a batch's samples share them.
+
+    A graph that records no gradient (``_np_graph``: inference, ``evaluate``,
+    ``batch_loss`` and the finite-difference oracle) also takes each branch's
+    operator from the module's bounded LRU of built operators, so forwards
+    with unchanged Grams and alpha build none; any change to them, in-place
+    writes included, changes the key and misses. A graph that records
+    gradients never reads or fills that cache: its parameters move every
+    step."""
 
     def __init__(self, config: ModelConfig, params_t: Tensor, pv: ParamVector):
         self.config = config
@@ -294,14 +313,31 @@ class _Graph:
         :func:`ops_ad.resolvent_decode_ad`, over the branch's vanilla, tp or
         truncated operator (built once per graph), its cross factors with
         ``pts``, its Grams and its alpha."""
-        cfg = self.config
         grams, alpha = self.axis_grams(b), self.branch_alpha(b)
         if b not in self._resolvent_cache:
-            # looked up per call, so that wrappers of ops_ad's builders see it
-            build = getattr(ops_ad, f"build_{cfg.variant}")
-            order = (cfg.truncation_order,) if cfg.variant == "truncated" else ()
-            self._resolvent_cache[b] = build([g.data for g in grams], float(alpha.data), *order)
+            self._resolvent_cache[b] = self._operator(grams, alpha)
         return op(self._resolvent_cache[b], self.cross_factors(b, pts), v, grams, alpha, batch)
+
+    def _operator(self, grams: list[Tensor], alpha: Tensor) -> Resolvent:
+        """The operator over ``grams`` and ``alpha``: built, or taken from the
+        module's cache by a graph that records no gradient."""
+        cfg = self.config
+        # looked up per call, so that wrappers of ops_ad's builders see it
+        build = getattr(ops_ad, f"build_{cfg.variant}")
+        order = (cfg.truncation_order,) if cfg.variant == "truncated" else ()
+        args = ([g.data for g in grams], float(alpha.data), *order)
+        if self.params_t.requires_grad:
+            return build(*args)
+        key = (cfg.variant, *order, alpha.data.tobytes(),
+               *((g.shape, g.data.tobytes()) for g in grams))
+        r = _resolvents.get(key)
+        if r is None:
+            r = _resolvents[key] = build(*args)
+            if len(_resolvents) > RESOLVENT_CACHE_ENTRIES:
+                _resolvents.popitem(last=False)
+        else:
+            _resolvents.move_to_end(key)
+        return r
 
     # -- pipeline stages --
     #

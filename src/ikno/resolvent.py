@@ -67,6 +67,9 @@ class Resolvent:
     and alpha gradients of :func:`ikno.ops_ad.resolvent_encode_ad` and
     :func:`ikno.ops_ad.resolvent_decode_ad` are built from these
     (Daleckii-Krein; Bhatia, *Matrix Analysis*, 1997, ch. V).
+
+    Its arrays are made read-only on construction, so an operator shared
+    between forward passes (the model's cache) cannot be corrupted in place.
     """
 
     axis_eigs: tuple[SymEig, ...]
@@ -76,6 +79,11 @@ class Resolvent:
     cofactors: tuple[np.ndarray, ...]
     euler: float
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+
+    def __post_init__(self):
+        pair_sides = (a for pair in self.pairs or () for a in pair)
+        for a in (self.diag_weights, *self.cofactors, *pair_sides):
+            a.flags.writeable = False
 
     @property
     def axis_sizes(self) -> tuple[int, ...]:

@@ -57,6 +57,7 @@ class SymEig:
     The sign of each eigenvector column is fixed by making its
     largest-magnitude component positive, so the factors, and every
     operator built from them, are bit-reproducible across runs.
+    :func:`sym_eig` returns both arrays read-only.
     """
 
     eigenvalues: np.ndarray
@@ -85,6 +86,7 @@ def sym_eig(a: np.ndarray) -> SymEig:
     signs = np.sign(u[pivot, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
     u = u * signs
+    w.flags.writeable = u.flags.writeable = False
     return SymEig(eigenvalues=w, eigenvectors=u)
 
 

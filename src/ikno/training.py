@@ -412,6 +412,8 @@ def train_model(
 
 def evaluate(config: ModelConfig, pv: ParamVector, samples) -> dict:
     """Median relative L1 (%), MSE, MAE over (cloud, queries, target) samples."""
+    if not samples:
+        raise EmptyDatasetError("cannot evaluate on an empty sample list")
     preds, truths = [], []
     for cloud, queries, target in samples:
         preds.append(forward(config, pv, cloud, queries))

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from ikno.model import (
     tokenize,
 )
 from ikno.autodiff import Tensor, custom_op
-from ikno import model
+from ikno import model, ops_ad
 from ikno.ops_ad import KhatriRaoCross, _spectral_grads, axis_kernel_ad
 from ikno.ops_ad import resolvent_decode_ad, resolvent_encode_ad
 from ikno.resolvent import apply_resolvent, build_vanilla
@@ -577,6 +578,76 @@ class TestForwardMemory:
             tracemalloc.stop()
         assert out.shape == (256, 1)
         assert peak < 4 * 1024 * 256 * 8
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty operator cache, and the names of the operator builders
+    called from now on, in call order."""
+    monkeypatch.setattr(model, "_resolvents", OrderedDict())
+    names = []
+    for name in ("build_vanilla", "build_tp", "build_truncated"):
+        real = getattr(ops_ad, name)
+
+        def counted(*args, real=real, name=name):
+            names.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(ops_ad, name, counted)
+    return names
+
+
+class TestResolventCache:
+    @pytest.mark.parametrize("variant", ["vanilla", "tp", "truncated"])
+    def test_repeated_forward_builds_nothing(self, builds, variant):
+        cfg = toy_config(branches=3, variant=variant, truncation_order=2)
+        pv = init_params(cfg, 0)
+        rng = np.random.default_rng(0)
+        cloud, queries = toy_cloud(rng, 6, 2), PointCloud(rng.uniform(-1, 1, (5, 2)))
+        cold = forward(cfg, pv, cloud, queries)
+        assert builds == [f"build_{variant}"] * 3
+        hit = forward(cfg, pv, cloud, queries)
+        assert len(builds) == 3
+        assert np.array_equal(hit, cold)
+
+    def test_in_place_alpha_change_rebuilds(self, builds):
+        cfg = toy_config(branches=3)
+        pv = init_params(cfg, 0)
+        rng = np.random.default_rng(1)
+        cloud, queries = toy_cloud(rng, 6, 2), PointCloud(rng.uniform(-1, 1, (5, 2)))
+        before = forward(cfg, pv, cloud, queries)
+        pv.values[alpha_indices(cfg, pv)] = [-0.3, -0.6, -0.9]
+        after = forward(cfg, pv, cloud, queries)
+        assert len(builds) == 6
+        model._resolvents.clear()
+        cold = forward(cfg, pv, cloud, queries)
+        assert np.array_equal(after, cold)
+        assert not np.array_equal(after, before)
+
+    def test_bounded_least_recently_used(self, builds):
+        cfg = toy_config(branches=1)
+        pv = init_params(cfg, 0)
+        rng = np.random.default_rng(2)
+        cloud, queries = toy_cloud(rng, 6, 2), PointCloud(rng.uniform(-1, 1, (5, 2)))
+        bound = model.RESOLVENT_CACHE_ENTRIES
+        alphas = -np.linspace(0.1, 0.9, bound + 3)
+
+        def forward_at(a):
+            pv.values[alpha_indices(cfg, pv)] = a
+            forward(cfg, pv, cloud, queries)
+
+        for a in alphas[:bound]:
+            forward_at(a)
+        forward_at(alphas[0])  # a hit, which makes it the most recently used
+        assert len(builds) == bound
+        for a in alphas[bound:]:
+            forward_at(a)
+        assert len(model._resolvents) == bound
+        forward_at(alphas[0])  # kept
+        assert len(builds) == alphas.size
+        forward_at(alphas[1])  # evicted as the least recently used
+        assert len(builds) == alphas.size + 1
+        assert len(model._resolvents) == bound
 
 
 class TestDeadParameterAudit:

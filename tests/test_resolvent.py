@@ -165,6 +165,16 @@ class TestBuildErrors:
             build([np.ones((2, 3))], -0.5)
 
 
+@pytest.mark.parametrize("build", [build_vanilla, build_tp, build_truncated_p2])
+def test_built_operator_is_read_only(build):
+    r = build(random_spd_grams(3, 2), -0.5)
+    with pytest.raises(ValueError):
+        r.diag_weights *= 2
+    arrays = [r.diag_weights, *r.cofactors, *(a for pair in r.pairs or () for a in pair)]
+    arrays += [a for e in r.axis_eigs for a in (e.eigenvalues, e.eigenvectors)]
+    assert not any(a.flags.writeable for a in arrays)
+
+
 def truncated(grams, alpha, order, t):
     """The order-p partial sum, applied in the axis eigenbasis."""
     return apply_resolvent(build_truncated(grams, alpha, order), t)

@@ -1,13 +1,16 @@
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ikno.model
 import ikno.ops_ad
 import ikno.training
 from ikno.data import CSinesSpec, gen_csines
 from ikno.errors import (
+    EmptyDatasetError,
     NonFiniteGradientError,
     NonFiniteLossError,
     NonpositiveTauError,
@@ -21,6 +24,7 @@ from ikno.training import (
     OptimizerState,
     TrainConfig,
     batch_loss,
+    evaluate,
     grad_analytic,
     grad_fd,
     median_rel_l1,
@@ -165,6 +169,8 @@ class TestGradAnalytic:
 
     @pytest.mark.parametrize("variant", ["tp", "vanilla"])
     def test_one_resolvent_build_per_branch_per_batch(self, monkeypatch, variant):
+        """Also after inference with the same parameters has cached their
+        operators: a gradient-recording step never reads or fills that cache."""
         cfg = ModelConfig(dim=2, grid_l=4, hidden=4, branches=3, variant=variant)
         pv = init_params(cfg, 0)
         rng = np.random.default_rng(4)
@@ -176,6 +182,10 @@ class TestGradAnalytic:
             )
             for _ in range(4)
         ]
+        monkeypatch.setattr(ikno.model, "_resolvents", OrderedDict())
+        ikno.model.forward(cfg, pv, *batch[0][:2])
+        cached = list(ikno.model._resolvents.items())
+        assert len(cached) == 3
         builds = []
         for name in ("build_tp", "build_vanilla"):
             real = getattr(ikno.ops_ad, name)
@@ -187,6 +197,7 @@ class TestGradAnalytic:
             monkeypatch.setattr(ikno.ops_ad, name, counted)
         ikno.training.loss_and_grad(cfg, pv, batch)
         assert builds == [f"build_{variant}"] * 3
+        assert list(ikno.model._resolvents.items()) == cached
 
 
 class TestOptimizer:
@@ -271,6 +282,11 @@ class TestMedianRelL1:
         mse, mae = mse_mae(preds, truths)
         assert np.isclose(mse, (1.0 + 4.0) / 2)
         assert np.isclose(mae, (1.0 + 2.0) / 2)
+
+    def test_evaluate_rejects_empty_samples(self):
+        cfg = ModelConfig(dim=1, grid_l=4, hidden=2, branches=1)
+        with pytest.raises(EmptyDatasetError):
+            evaluate(cfg, init_params(cfg, 0), [])
 
 
 class TestTrainLoop:
