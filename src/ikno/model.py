@@ -237,15 +237,27 @@ def _grid_for(dim: int, grid_l: int) -> LatentGrid:
     return grid_linspace(dim, grid_l)
 
 
-# Operators built by graphs that record no gradient, least recently used
-# first, keyed by the builder's exact inputs: variant, truncation order and
-# the bytes of alpha and of each Gram. 24 entries cover eight models of the
-# default 3 branches. The largest entry, d = 3, L = 16, truncated p = 4, is
-# about 0.31 MB: D and its 4 divided-difference pairs are nine 32 KiB arrays
-# on the eigen-grid, and the key's Grams, the axis eigensystems and the
-# cofactors add about 18 KiB. So the cache holds at most about 7.5 MB.
-RESOLVENT_CACHE_ENTRIES = 24
-_resolvents: "OrderedDict[tuple, Resolvent]" = OrderedDict()
+# Operators built by graphs that record no gradient, keyed by the builder's
+# exact inputs: variant, truncation order and the bytes of alpha and of each
+# Gram with its shape. Inference, `evaluate` and the finite-difference probes
+# reuse one model's branches at a time, so the default model's 3 branches
+# plus one fit; a model with more branches than that rebuilds its operators
+# once per forward, as with no cache. The bound is in entries, not bytes: an
+# entry keeps D and, for truncation order p, its 2p pair arrays on the L^d
+# eigen-grid, plus d axis eigensystems and the key's d Grams, a little over
+# 8 * ((2p + 1) * L^d + 2 * d * L^2) bytes (p = 0 for vanilla and tp): 42 KB
+# at d = 2, L = 32 vanilla, 1.7 MB at d = 2, L = 128 truncated p = 4.
+RESOLVENT_CACHE_ENTRIES = 4
+
+
+@lru_cache(maxsize=RESOLVENT_CACHE_ENTRIES)
+def _build_operator(variant: str, order: tuple[int, ...], alpha: bytes,
+                    grams: tuple[tuple[tuple[int, ...], bytes], ...]) -> Resolvent:
+    """The branch operator over the Grams and alpha given by their bytes."""
+    # looked up per call, so that wrappers of ops_ad's builders see it
+    build = getattr(ops_ad, f"build_{variant}")
+    return build([np.frombuffer(b).reshape(shape) for shape, b in grams],
+                 float(np.frombuffer(alpha)[0]), *order)
 
 
 class _Graph:
@@ -322,22 +334,13 @@ class _Graph:
         """The operator over ``grams`` and ``alpha``: built, or taken from the
         module's cache by a graph that records no gradient."""
         cfg = self.config
-        # looked up per call, so that wrappers of ops_ad's builders see it
-        build = getattr(ops_ad, f"build_{cfg.variant}")
         order = (cfg.truncation_order,) if cfg.variant == "truncated" else ()
-        args = ([g.data for g in grams], float(alpha.data), *order)
         if self.params_t.requires_grad:
-            return build(*args)
-        key = (cfg.variant, *order, alpha.data.tobytes(),
-               *((g.shape, g.data.tobytes()) for g in grams))
-        r = _resolvents.get(key)
-        if r is None:
-            r = _resolvents[key] = build(*args)
-            if len(_resolvents) > RESOLVENT_CACHE_ENTRIES:
-                _resolvents.popitem(last=False)
-        else:
-            _resolvents.move_to_end(key)
-        return r
+            # looked up per call, so that wrappers of ops_ad's builders see it
+            build = getattr(ops_ad, f"build_{cfg.variant}")
+            return build([g.data for g in grams], float(alpha.data), *order)
+        return _build_operator(cfg.variant, order, alpha.data.tobytes(),
+                               tuple((g.shape, g.data.tobytes()) for g in grams))
 
     # -- pipeline stages --
     #

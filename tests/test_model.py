@@ -1,5 +1,4 @@
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -584,7 +583,7 @@ class TestForwardMemory:
 def builds(monkeypatch):
     """An empty operator cache, and the names of the operator builders
     called from now on, in call order."""
-    monkeypatch.setattr(model, "_resolvents", OrderedDict())
+    model._build_operator.cache_clear()
     names = []
     for name in ("build_vanilla", "build_tp", "build_truncated"):
         real = getattr(ops_ad, name)
@@ -594,13 +593,24 @@ def builds(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(ops_ad, name, counted)
-    return names
+    yield names
+    model._build_operator.cache_clear()
 
 
 class TestResolventCache:
-    @pytest.mark.parametrize("variant", ["vanilla", "tp", "truncated"])
-    def test_repeated_forward_builds_nothing(self, builds, variant):
-        cfg = toy_config(branches=3, variant=variant, truncation_order=2)
+    @pytest.mark.parametrize(
+        "variant, kw",
+        [
+            ("vanilla", {}),
+            ("tp", {}),
+            ("truncated", {}),
+            # the inference benchmark's model: cold build and hit at full size
+            ("vanilla", dict(grid_l=32, hidden=16, processor="mlp")),
+        ],
+        ids=["vanilla", "tp", "truncated", "vanilla-L32"],
+    )
+    def test_repeated_forward_builds_nothing(self, builds, variant, kw):
+        cfg = toy_config(branches=3, variant=variant, truncation_order=2, **kw)
         pv = init_params(cfg, 0)
         rng = np.random.default_rng(0)
         cloud, queries = toy_cloud(rng, 6, 2), PointCloud(rng.uniform(-1, 1, (5, 2)))
@@ -619,7 +629,7 @@ class TestResolventCache:
         pv.values[alpha_indices(cfg, pv)] = [-0.3, -0.6, -0.9]
         after = forward(cfg, pv, cloud, queries)
         assert len(builds) == 6
-        model._resolvents.clear()
+        model._build_operator.cache_clear()
         cold = forward(cfg, pv, cloud, queries)
         assert np.array_equal(after, cold)
         assert not np.array_equal(after, before)
@@ -642,12 +652,12 @@ class TestResolventCache:
         assert len(builds) == bound
         for a in alphas[bound:]:
             forward_at(a)
-        assert len(model._resolvents) == bound
+        assert model._build_operator.cache_info().currsize == bound
         forward_at(alphas[0])  # kept
         assert len(builds) == alphas.size
         forward_at(alphas[1])  # evicted as the least recently used
         assert len(builds) == alphas.size + 1
-        assert len(model._resolvents) == bound
+        assert model._build_operator.cache_info().currsize == bound
 
 
 class TestDeadParameterAudit:

@@ -1,5 +1,4 @@
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -182,10 +181,10 @@ class TestGradAnalytic:
             )
             for _ in range(4)
         ]
-        monkeypatch.setattr(ikno.model, "_resolvents", OrderedDict())
+        ikno.model._build_operator.cache_clear()
         ikno.model.forward(cfg, pv, *batch[0][:2])
-        cached = list(ikno.model._resolvents.items())
-        assert len(cached) == 3
+        cached = ikno.model._build_operator.cache_info()
+        assert cached.currsize == 3
         builds = []
         for name in ("build_tp", "build_vanilla"):
             real = getattr(ikno.ops_ad, name)
@@ -197,7 +196,7 @@ class TestGradAnalytic:
             monkeypatch.setattr(ikno.ops_ad, name, counted)
         ikno.training.loss_and_grad(cfg, pv, batch)
         assert builds == [f"build_{variant}"] * 3
-        assert list(ikno.model._resolvents.items()) == cached
+        assert ikno.model._build_operator.cache_info() == cached
 
 
 class TestOptimizer:
