@@ -23,6 +23,8 @@ __all__ = ["main", "parse_config_file", "merge_options"]
 
 
 def _apply_thread_cap() -> None:
+    """Lower each BLAS/OpenMP thread count to ``IKNO_THREADS``: a smaller
+    integer already set is kept, and anything else is replaced."""
     cap = os.environ.get("IKNO_THREADS")
     if not cap:
         return
@@ -32,7 +34,11 @@ def _apply_thread_cap() -> None:
         raise SystemExit(f"IKNO_THREADS must be an integer, got {cap!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
+        try:
+            current = int(os.environ[var])
+        except (KeyError, ValueError):
+            current = n
+        os.environ[var] = str(min(n, current))
 
 
 def parse_config_file(path) -> dict:
@@ -299,7 +305,8 @@ _COMMANDS = {
     }, {"kind": "csines | poisson-gauss"}),
     "verify": _Command(cmd_verify, "run the correctness suites", {
         "seed": 0, "out": "", "cases": 100, "inject_fault": "",
-    }, {"inject_fault": "test hook: tp-as-vanilla | truncated-order-off-by-one"}),
+    }, {"inject_fault": "test hook: tp-as-vanilla | truncated-order-off-by-one"
+                     " | tp-factors-unrotated"}),
     "finite-order-study": _Command(
         cmd_finite_order_study, "truncation order sweep vs. infinite variants", {
             "seed": 0, "out": "study-out", "data": "", "steps": 300,

@@ -244,9 +244,10 @@ def _grid_for(dim: int, grid_l: int) -> LatentGrid:
 # plus one fit; a model with more branches than that rebuilds its operators
 # once per forward, as with no cache. The bound is in entries, not bytes: an
 # entry keeps D and, for truncation order p, its 2p pair arrays on the L^d
-# eigen-grid, plus d axis eigensystems and the key's d Grams, a little over
-# 8 * ((2p + 1) * L^d + 2 * d * L^2) bytes (p = 0 for vanilla and tp): 42 KB
-# at d = 2, L = 32 vanilla, 1.7 MB at d = 2, L = 128 truncated p = 4.
+# eigen-grid, plus d axis eigensystems, the key's d Grams and, for tp, d axis
+# resolvents: a little over 8 * ((2p + 1) * L^d + k * d * L^2) bytes, with
+# k = 3 for tp and 2 otherwise (p = 0 for vanilla and tp): 42 KB at d = 2,
+# L = 32 vanilla, 58 KB there for tp, 1.7 MB at d = 2, L = 128 truncated p = 4.
 RESOLVENT_CACHE_ENTRIES = 4
 
 
@@ -263,6 +264,10 @@ def _build_operator(variant: str, order: tuple[int, ...], alpha: bytes,
 class _Graph:
     """Forward passes over AD tensors for one parameter vector; parameter
     slices, Grams and resolvents are cached, so a batch's samples share them.
+    Each branch's operator goes to ``resolvent_encode_ad`` and
+    ``resolvent_decode_ad``, as looked up in this module, which pick the
+    path from its structure: tp's per-axis resolvents act on the
+    cross-kernel factors, the other variants rotate the latent grid.
 
     A graph that records no gradient (``_np_graph``: inference, ``evaluate``,
     ``batch_loss`` and the finite-difference oracle) also takes each branch's

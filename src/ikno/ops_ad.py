@@ -17,16 +17,20 @@ the other factors through a Khatri-Rao VJP over d - 1 factors. A stacked
 batch meets its cross kernels sample by sample, so the operators see the
 whole batch as extra channels.
 
-Every operator variant (vanilla, tp and the truncated partial sum) is
-R = U diag(D) U^T in the axis eigenbasis of a prebuilt
-:class:`ikno.resolvent.Resolvent`, and U^T KR(A_1, ..., A_d)
-= KR(U_1^T A_1, ..., U_d^T A_d) (the mixed-product rule). So the encoder's
-R K_GP V and the decoder's K_QG R v are one op each. The rotation on the
-cross-kernel side runs on the N_j x n factors, and the latent grid is
-rotated once per direction: d mode products in the forward pass and d in
-the backward pass, whatever the variant or truncation order. One prebuilt
-operator per branch serves both ops; only D and the divided-difference
-pairs of its Gram gradient differ between variants.
+The encoder's R K_GP V and the decoder's K_QG R v are one op each over a
+prebuilt :class:`ikno.resolvent.Resolvent`, which serves both ops, and the
+operator's structure picks one of two paths. Vanilla and the truncated
+partial sum are R = U diag(D) U^T in the axis eigenbasis, and
+U^T KR(A_1, ..., A_d) = KR(U_1^T A_1, ..., U_d^T A_d) (the mixed-product
+rule): the rotation on the cross-kernel side runs on the N_j x n factors,
+and the latent grid is rotated once per direction, d mode products in the
+forward pass and d in the backward pass, whatever the truncation order.
+Only D and the divided-difference pairs of the Gram gradient differ
+between them. Tp is the Kronecker product R_1 (x) ... (x) R_d of per-axis
+resolvents R_j = (I - alpha K_j)^-1, so R KR(A_1, ..., A_d)
+= KR(R_1 A_1, ..., R_d A_d): its ops apply R_j to the factors and take no
+mode products at all, and its Gram and alpha gradients are N_j x N_j
+products per axis.
 """
 
 from __future__ import annotations
@@ -228,11 +232,107 @@ def _spectral_grads(
     return k_bars, a_bar
 
 
-
-
 def _spectral_needed(grams: list[Tensor], alpha: Tensor) -> bool:
     """A fixed kernel's Grams and alpha need no gradient."""
     return alpha.requires_grad or any(k.requires_grad for k in grams)
+
+
+def _kron_cross(r: Resolvent, factors: list[Tensor], batch: int) -> KhatriRaoCross:
+    """R KR(A_1, ..., A_d) = KR(R_1 A_1, ..., R_d A_d) for the Kronecker
+    product R = R_1 (x) ... (x) R_d: the operator enters through the small
+    factors, and the latent grid is never rotated."""
+    return KhatriRaoCross([rj @ f.data for rj, f in zip(r.axis_resolvents, factors)], batch)
+
+
+def _factors_needed(factors: list[Tensor], grams: list[Tensor], alpha: Tensor) -> bool:
+    """Whether a Kronecker op's backward needs the factors' gradients: the
+    Grams' and alpha's come from them too."""
+    return any(f.requires_grad for f in factors) or _spectral_needed(grams, alpha)
+
+
+def _kron_grads(
+    r: Resolvent, factors: list[Tensor], a_tilde_bars: list[np.ndarray] | None,
+    grams: list[Tensor], alpha: Tensor,
+) -> tuple[list, list, np.ndarray | None]:
+    """The factor, Gram and alpha gradients of A-tilde_j = R_j A_j, from the
+    (N_j, B*n) gradients of the A-tilde_j (None where none is needed).
+
+    A_j receives R_j A-tilde-bar_j (R_j is symmetric), and R_j receives
+    R-bar_j = A-tilde-bar_j A_j^T. As dR_j = R_j d(alpha K_j) R_j, with
+    Q_j = R_j R-bar_j R_j, K_j receives alpha Q_j and alpha receives
+    sum_j <Q_j, K_j>: N_j x N_j algebra per axis, nothing on the grid.
+    """
+    a_bars, k_bars, g_alpha = [None] * len(factors), [None] * len(grams), 0.0
+    if a_tilde_bars is None:
+        return a_bars, k_bars, None
+    spectral = _spectral_needed(grams, alpha)
+    for j, (rj, f, g) in enumerate(zip(r.axis_resolvents, factors, a_tilde_bars)):
+        if f.requires_grad:
+            a_bars[j] = rj @ g
+        if spectral:
+            q = rj @ (g @ f.data.T) @ rj
+            if grams[j].requires_grad:
+                k_bars[j] = r.alpha * q
+            g_alpha += np.vdot(q, grams[j].data)
+    return a_bars, k_bars, (np.array(g_alpha) if alpha.requires_grad else None)
+
+
+def _kron_encode_ad(
+    r: Resolvent, factors: list[Tensor], v: Tensor, grams: list[Tensor], alpha: Tensor, batch: int
+) -> Tensor:
+    """:func:`resolvent_encode_ad` for a Kronecker-product operator:
+    y = KR(R_1 A_1, ..., R_d A_d) V, read per sample. With the rotated
+    cross kernel held as a :class:`KhatriRaoCross`, W = g read per sample
+    and S = A-tilde_1^T W, V receives sum_b P . S, P receives sum_h S . V
+    and A-tilde_1 receives W (P . V)^T; :func:`_kron_grads` takes those to
+    the factors, Grams and alpha. No mode products in either pass."""
+    cross = _kron_cross(r, factors, batch)
+    y = cross.grid_sum(v.data)
+
+    def backward(g):
+        needed, v_bar, a_tilde_bars = _factors_needed(factors, grams, alpha), None, None
+        if needed or v.requires_grad:
+            ws = cross.sample_major(g)
+            s = cross.from_grid(ws)
+            if v.requires_grad:
+                v_bar = cross.rest_sum(s)
+            if needed:
+                p_bar = cross.rest_grad(s, v.data) if len(factors) > 1 else None
+                t = cross.products(v.data)  # recomputed, as the op keeps no copy
+                a_tilde_bars = cross.factor_grads(ws @ t.swapaxes(1, 2), p_bar)
+        a_bars, k_bars, a_bar = _kron_grads(r, factors, a_tilde_bars, grams, alpha)
+        return [*a_bars, v_bar, *k_bars, a_bar]
+
+    return custom_op([*factors, v, *grams, alpha], y, backward)
+
+
+def _kron_decode_ad(
+    r: Resolvent, factors: list[Tensor], v: Tensor, grams: list[Tensor], alpha: Tensor, batch: int
+) -> Tensor:
+    """:func:`resolvent_decode_ad` for a Kronecker-product operator:
+    out = KR(R_1 A_1, ..., R_d A_d)^T v (R is symmetric), read per sample.
+    With T = P . g, v receives A-tilde_1 T per sample, A-tilde_1 receives
+    Y T^T and P receives sum_h S . g, with Y = v read per sample and
+    S = A-tilde_1^T Y recomputed; :func:`_kron_grads` takes those to the
+    factors, Grams and alpha. No mode products in either pass."""
+    cross = _kron_cross(r, factors, batch)
+    y = v.data.reshape(*r.axis_sizes, -1)
+    out = cross.point_sum(y)
+
+    def backward(g):
+        needed, v_bar, a_tilde_bars = _factors_needed(factors, grams, alpha), None, None
+        if needed or v.requires_grad:
+            t = cross.products(g)
+            if v.requires_grad:
+                v_bar = cross.to_grid(t)
+            if needed:
+                ys = cross.sample_major(y)
+                p_bar = cross.rest_grad(cross.from_grid(ys), g) if len(factors) > 1 else None
+                a_tilde_bars = cross.factor_grads(ys @ t.swapaxes(1, 2), p_bar)
+        a_bars, k_bars, a_bar = _kron_grads(r, factors, a_tilde_bars, grams, alpha)
+        return [*a_bars, v_bar, *k_bars, a_bar]
+
+    return custom_op([*factors, v, *grams, alpha], out, backward)
 
 
 def resolvent_encode_ad(
@@ -244,7 +344,9 @@ def resolvent_encode_ad(
     ``r`` is the operator U diag(D) U^T built from the values of ``grams``
     and ``alpha``; ``factors`` are the (N_j, B*n) axis factors of the
     encoder's cross kernel K_GP = KR(A_1, ..., A_d), and ``v`` the (B*n, h)
-    point tokens. With the rotated K-hat = U^T K_GP held as a
+    point tokens. A tp operator, which carries its per-axis resolvents,
+    goes to :func:`_kron_encode_ad`, which takes no mode products.
+    Otherwise, with the rotated K-hat = U^T K_GP held as a
     :class:`KhatriRaoCross` (A-hat_1 and P), the forward pass is
     x-hat = A-hat_1 (P . V) per sample and y-hat = D * x-hat, then
     y = U y-hat: d mode products. The backward pass takes d more, for
@@ -256,6 +358,8 @@ def resolvent_encode_ad(
     only re-associates the product. No M x (B*n) array is formed in either
     pass.
     """
+    if r.axis_resolvents is not None:
+        return _kron_encode_ad(r, factors, v, grams, alpha, batch)
     cross = _eigen_cross(r, factors, batch)
     y_hat = cross.grid_sum(v.data)
     y_hat *= r.diag_weights[..., None]
@@ -297,8 +401,9 @@ def resolvent_decode_ad(
     ``r`` is as for :func:`resolvent_encode_ad`; ``factors`` are the
     (N_j, B*n_q) axis factors of the decoder's cross kernel
     K_QG = KR(A_1, ..., A_d)^T, and ``v`` holds the latent features in the
-    (N_1, ..., N_d, B*h) memory order, as (M*B, h) or grid-shaped. The
-    forward pass takes d mode products for x-hat = U^T v and
+    (N_1, ..., N_d, B*h) memory order, as (M*B, h) or grid-shaped. A tp
+    operator goes to :func:`_kron_decode_ad`, which takes no mode products.
+    Otherwise the forward pass takes d mode products for x-hat = U^T v and
     y-hat = D * x-hat, then, with K-hat = U^T K_QG^T held as a
     :class:`KhatriRaoCross`, Y = y-hat read per sample and
     S = A-hat_1^T Y, out = sum_b P . S. The backward pass takes d more:
@@ -308,6 +413,8 @@ def resolvent_decode_ad(
     :func:`_spectral_grads` of g-hat and x-hat. No M x (B*n_q) array is
     formed in either pass.
     """
+    if r.axis_resolvents is not None:
+        return _kron_decode_ad(r, factors, v, grams, alpha, batch)
     cross = _eigen_cross(r, factors, batch)
     y_hat, x_side = _weighted(r, r.to_eigenbasis(v.data.reshape(*r.axis_sizes, -1)))
     out = cross.point_sum(y_hat)

@@ -68,6 +68,13 @@ class Resolvent:
     :func:`ikno.ops_ad.resolvent_decode_ad` are built from these
     (Daleckii-Krein; Bhatia, *Matrix Analysis*, 1997, ch. V).
 
+    Only :func:`build_tp` fills ``axis_resolvents``, the per-axis
+    (I - alpha * K_j)^-1 = U_j diag(1 / (1 - alpha * lambda_j)) U_j^T whose
+    Kronecker product is R. The ops apply them to the cross-kernel factors
+    directly and never rotate the latent grid; D, ``cofactors`` and
+    ``euler`` stay valid for tp, and the eigen-grid apply and its oracles
+    use them.
+
     Its arrays are made read-only on construction, so an operator shared
     between forward passes (the model's cache) cannot be corrupted in place.
     """
@@ -79,10 +86,12 @@ class Resolvent:
     cofactors: tuple[np.ndarray, ...]
     euler: float
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+    axis_resolvents: tuple[np.ndarray, ...] | None = None  # R_j, tp only
 
     def __post_init__(self):
         pair_sides = (a for pair in self.pairs or () for a in pair)
-        for a in (self.diag_weights, *self.cofactors, *pair_sides):
+        axis_resolvents = self.axis_resolvents or ()
+        for a in (self.diag_weights, *self.cofactors, *pair_sides, *axis_resolvents):
             a.flags.writeable = False
 
     @property
@@ -163,6 +172,9 @@ def build_tp(axis_grams, alpha: float) -> Resolvent:
         neumann_valid=bool(rho < 1.0),  # every axis's series converges
         cofactors=_cofactors(denoms),
         euler=1.0,
+        axis_resolvents=tuple(
+            (e.eigenvectors / den) @ e.eigenvectors.T for e, den in zip(eigs, denoms)
+        ),
     )
 
 

@@ -9,12 +9,13 @@ conjugate gradient) and records the worst observed deviation. The CLI
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
 
 from . import data
+from .autodiff import Tensor
 from .kernels import (
     AxisKernelParams,
     LinearWindowKernel,
@@ -26,7 +27,7 @@ from .kernels import (
     product_kernel_eval,
 )
 from .model import ModelConfig, _np_graph, alpha_indices, decode_kernel_params, init_params
-from .ops_ad import KhatriRaoCross
+from .ops_ad import KhatriRaoCross, resolvent_decode_ad, resolvent_encode_ad
 from .resolvent import (
     apply_naive_inverse,
     apply_resolvent,
@@ -504,7 +505,36 @@ def _dense_cross(cfg: ModelConfig, pv, grid, pts: np.ndarray) -> np.ndarray:
     return np.array(k).reshape(grid.num_points, len(pts))
 
 
-def suite_cross_kernel(seed: int = 0) -> CheckResult:
+def _dense_axis_grams(cfg: ModelConfig, pv, grid) -> list[np.ndarray]:
+    """The single branch's N_j x N_j axis Grams: ``kernels.axis_gram`` for a
+    learnable kernel, the window's 1-D tent with scale**(1/d) entry by
+    entry for a fixed window."""
+    win = cfg.fixed_window
+    if win is None:
+        axes = decode_kernel_params(cfg, pv).branches[0].axis_params
+        return [axis_gram(p, pts) for p, pts in zip(axes, grid.per_axis_points)]
+    axis_win = LinearWindowKernel(radius=win.radius, scale=win.scale ** (1.0 / cfg.dim))
+    return [np.array([[linear_window_eval(axis_win, a, b) for b in pts] for a in pts])
+            for pts in grid.per_axis_points]
+
+
+def _tp_contractions(graph, batch: int, pts, v, y, inject_fault):
+    """The tp encode op's R K_GP V, (M, B, h), and the decode op's
+    K_QG R Y, (B, n, h), over the model's Grams, alpha and cross factors.
+    The ``tp-factors-unrotated`` fault hands the ops identity per-axis
+    resolvents, so they contract the bare cross-kernel factors."""
+    grams, alpha = graph.axis_grams(0), graph.branch_alpha(0)
+    r = build_tp([k.data for k in grams], float(alpha.data))
+    if inject_fault == "tp-factors-unrotated":
+        r = replace(r, axis_resolvents=tuple(np.eye(n) for n in r.axis_sizes))
+    factors = graph.cross_factors(0, pts)
+    m, h = y.shape[0], y.shape[-1]
+    enc = resolvent_encode_ad(r, factors, Tensor(v), grams, alpha, batch)
+    dec = resolvent_decode_ad(r, factors, Tensor(y.reshape(m * batch, h)), grams, alpha, batch)
+    return enc.data.reshape(m, batch, h), dec.data.reshape(batch, -1, h)
+
+
+def suite_cross_kernel(seed: int = 0, inject_fault: str | None = None) -> CheckResult:
     """Factor-by-factor cross-kernel contractions vs. dense cross kernels.
 
     For d = 1-3, learnable (random kernel parameters, scales of either
@@ -515,6 +545,13 @@ def suite_cross_kernel(seed: int = 0) -> CheckResult:
     dense kernels, ``kernels.cross_kernel`` entry by entry for learnable
     kernels and ``kernels.linear_window_eval`` for the window, relative to
     the sums of absolute products, |K| |V| and |K_QG| |Y|.
+
+    The same instances, with a negative alpha, check the tp encode and
+    decode ops, which apply the per-axis resolvents R_j to the cross-kernel
+    factors: R K_GP V and K_QG R Y against the dense
+    R = kron((I - alpha K_1)^-1, ..., (I - alpha K_d)^-1) over Grams built
+    entry by entry, relative to |R| |K| |V| and |K_QG| |R| |Y|. The
+    ``tp-factors-unrotated`` fault fails this check alone.
     """
     rng = Rng64(seed ^ 0xC5)
     worst = 0.0
@@ -529,6 +566,14 @@ def suite_cross_kernel(seed: int = 0) -> CheckResult:
             if window is None:
                 sl, _ = pv.segments["kernel"]
                 pv.values[sl] = rng.uniform_array(sl.stop - sl.start, -2.0, 2.0)
+                # a negative alpha keeps every 1 - alpha * lambda_j >= 1
+                idx = alpha_indices(cfg, pv)
+                pv.values[idx] = -np.abs(pv.values[idx])
+            alpha = window.alpha if window else decode_kernel_params(cfg, pv).branches[0].alpha
+            r_dense = kron_materialize([
+                np.linalg.inv(np.eye(k.shape[0]) - alpha * k)
+                for k in _dense_axis_grams(cfg, pv, grid)
+            ])
             graph = _np_graph(cfg, pv)
             for batch, n in ((1, 0), (3, 0), (1, 1 + rng.integer(7)), (3, 1 + rng.integer(7))):
                 pts = rng.uniform_array((batch * n, dim), -1.0, 1.0)
@@ -537,16 +582,27 @@ def suite_cross_kernel(seed: int = 0) -> CheckResult:
                 cross = KhatriRaoCross([f.data for f in graph.cross_factors(0, pts)], batch)
                 kgp_v = cross.grid_sum(v).reshape(m, batch, 2)
                 kqg_y = cross.point_sum(y).reshape(batch, n, 2)
+                tp_enc, tp_dec = _tp_contractions(graph, batch, pts, v, y, inject_fault)
                 for s in range(batch):
                     block = slice(s * n, (s + 1) * n)
                     k = _dense_cross(cfg, pv, grid, pts[block])
-                    for fast, dense, x in ((kgp_v[:, s], k, v[block]), (kqg_y[s], k.T, y[:, s])):
-                        scale = (np.abs(dense) @ np.abs(x)).max(initial=np.finfo(np.float64).tiny)
-                        dev = float(np.abs(fast - dense @ x).max(initial=0.0) / scale)
+                    cases = (
+                        ("", kgp_v[:, s], [k], v[block]),
+                        ("", kqg_y[s], [k.T], y[:, s]),
+                        ("tp encode ", tp_enc[:, s], [r_dense, k], v[block]),
+                        ("tp decode ", tp_dec[s], [k.T, r_dense], y[:, s]),
+                    )
+                    for label, fast, mats, x in cases:
+                        ref, scale = x, np.abs(x)
+                        for a in reversed(mats):
+                            ref, scale = a @ ref, np.abs(a) @ scale
+                        scale = scale.max(initial=np.finfo(np.float64).tiny)
+                        dev = float(np.abs(fast - ref).max(initial=0.0) / scale)
                         if dev > worst:
                             worst = dev
                             kind = "learnable" if window is None else "fixed-window"
-                            detail = f"{kind} d={dim} L={grid_l} batch={batch} n={n} sample {s}"
+                            detail = (f"{label}{kind} d={dim} L={grid_l} batch={batch} "
+                                      f"n={n} sample {s}")
     return CheckResult(
         name="cross-kernel-contraction",
         passed=worst <= 1e-12,
@@ -556,9 +612,15 @@ def suite_cross_kernel(seed: int = 0) -> CheckResult:
     )
 
 
+# Each fails exactly one check, so a run shows that check can fail.
+FAULTS = ("tp-as-vanilla", "truncated-order-off-by-one", "tp-factors-unrotated")
+
+
 def run_all(cases: int = 100, seed: int = 0, inject_fault: str | None = None) -> VerifyReport:
     if cases < 1:  # zero random instances would pass every check vacuously
         raise ValueError(f"cases must be >= 1, got {cases}")
+    if inject_fault is not None and inject_fault not in FAULTS:
+        raise ValueError(f"unknown fault {inject_fault!r}; expected one of {', '.join(FAULTS)}")
     t0 = time.monotonic()
     report = VerifyReport(cases=cases)
     suites = (
@@ -569,7 +631,7 @@ def run_all(cases: int = 100, seed: int = 0, inject_fault: str | None = None) ->
         lambda: suite_positive_definite(seed=seed),
         lambda: suite_gradient(seed=seed),
         lambda: suite_poisson_solver(seed=seed),
-        lambda: suite_cross_kernel(seed=seed),
+        lambda: suite_cross_kernel(seed=seed, inject_fault=inject_fault),
     )
     for suite in suites:
         t_check = time.monotonic()

@@ -119,6 +119,8 @@ def test_ragged_batch_matches_per_sample_sum():
 
 @pytest.mark.parametrize("variant", ["tp", "vanilla", "truncated"])
 def test_mode_products_do_not_grow_with_batch(variant):
+    # tp's per-axis resolvents act on the cross-kernel factors, so its step
+    # takes no mode products at any batch size
     cfg = make_config(variant=variant, processor="mlp")
     pv = make_params(cfg)
     batch = make_batch(np.random.default_rng(5), cfg.dim, [(6, 4)] * 4)
@@ -127,7 +129,10 @@ def test_mode_products_do_not_grow_with_batch(variant):
         before = tensor_linalg.mode_apply_count()
         loss_and_grad(cfg, pv, batch[:b])
         counts.append(tensor_linalg.mode_apply_count() - before)
-    assert counts[0] == counts[1] > 0
+    if variant == "tp":
+        assert counts == [0, 0]
+    else:
+        assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("variant", ["tp", "vanilla", "truncated-p1", "truncated-p3"])
@@ -137,7 +142,9 @@ def test_resolvent_step_takes_4d_mode_products(monkeypatch, variant, fixed):
     # each direction's op rotates the grid once (d mode products) in the
     # forward and once in the backward: 4d per branch and step, learnable
     # or not, whatever the truncation order; a fixed window's Grams and
-    # alpha need no gradient, so its backward never forms their contraction
+    # alpha need no gradient, so its backward never forms their contraction.
+    # tp applies its per-axis resolvents to the factors instead: no mode
+    # products and no eigen-grid contraction at all
     window = LinearWindowKernel(radius=0.6, scale=1.0, alpha=-0.15) if fixed else None
     variant, _, order = variant.partition("-p")
     cfg = make_config(
@@ -156,5 +163,9 @@ def test_resolvent_step_takes_4d_mode_products(monkeypatch, variant, fixed):
     monkeypatch.setattr(ops_ad, "_spectral_grads", counted)
     before = tensor_linalg.mode_apply_count()
     loss_and_grad(cfg, pv, batch)
-    assert tensor_linalg.mode_apply_count() - before == 4 * cfg.dim == 8
-    assert len(spectral_calls) == (0 if fixed else 2)  # encode and decode
+    if variant == "tp":
+        assert tensor_linalg.mode_apply_count() - before == 0
+        assert len(spectral_calls) == 0
+    else:
+        assert tensor_linalg.mode_apply_count() - before == 4 * cfg.dim == 8
+        assert len(spectral_calls) == (0 if fixed else 2)  # encode and decode

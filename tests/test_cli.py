@@ -223,6 +223,20 @@ class TestVerify:
         (oracle,) = [c for c in report["checks"] if not c["passed"]]
         assert "truncated p=" in oracle["detail"]
 
+    def test_tp_factor_fault_injection_fails_the_cross_kernel_check(self, tmp_path, capsys):
+        assert main(["verify", "--cases", "5", "--inject-fault",
+                     "tp-factors-unrotated", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] cross-kernel-contraction" in captured.out
+        assert captured.out.count("[FAIL]") == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        (check,) = [c for c in report["checks"] if not c["passed"]]
+        assert check["detail"].startswith("tp ")
+
+    def test_unknown_fault_exits_2(self, capsys):
+        assert main(["verify", "--cases", "1", "--inject-fault", "no-such-fault"]) == 2
+        assert "unknown fault 'no-such-fault'" in capsys.readouterr().err
+
 
 class TestBenchCli:
     def test_bench_small_case(self, tmp_path, capsys):
@@ -377,6 +391,19 @@ class TestThreads:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["2", "2"]
+
+    def test_ikno_threads_lowers_larger_counts_only(self):
+        code = (
+            "import os, ikno.cli as c; c._apply_thread_cap(); print(*(os.environ[v] for v in "
+            "('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS', "
+            "'NUMEXPR_NUM_THREADS')))"
+        )
+        env = dict(os.environ, IKNO_THREADS="2", OMP_NUM_THREADS="1",
+                   OPENBLAS_NUM_THREADS="8", MKL_NUM_THREADS="auto")
+        env.pop("NUMEXPR_NUM_THREADS", None)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["1", "2", "2", "2"]
 
     def test_bad_ikno_threads_exits(self):
         env = dict(os.environ, IKNO_THREADS="abc")

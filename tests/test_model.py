@@ -22,7 +22,7 @@ from ikno.autodiff import Tensor, custom_op
 from ikno import model, ops_ad
 from ikno.ops_ad import KhatriRaoCross, _spectral_grads, axis_kernel_ad
 from ikno.ops_ad import resolvent_decode_ad, resolvent_encode_ad
-from ikno.resolvent import apply_resolvent, build_vanilla
+from ikno.resolvent import apply_resolvent, build_tp, build_vanilla
 from ikno.kernels import AxisKernelParams, axis_gram, grid_linspace
 from ikno.tensor_linalg import kron_materialize
 from ikno.training import grad_analytic, grad_fd, loss_and_grad
@@ -298,16 +298,21 @@ class TestCrossKernel:
                     scale_t = (np.abs(ref_t) @ np.abs(y[:, s])).max(initial=1.0)
                     assert np.abs(kqg[s] - want_t).max(initial=0.0) <= 1e-14 * scale_t
 
-    @pytest.mark.parametrize("op", [resolvent_encode_ad, resolvent_decode_ad],
-                             ids=["encode", "decode"])
-    def test_ops_form_no_cross_kernel(self, op):
+    @pytest.mark.parametrize(
+        "op,build",
+        [(resolvent_encode_ad, build_vanilla), (resolvent_decode_ad, build_vanilla),
+         (resolvent_encode_ad, build_tp), (resolvent_decode_ad, build_tp)],
+        ids=["encode", "decode", "tp-encode", "tp-decode"],
+    )
+    def test_ops_form_no_cross_kernel(self, op, build):
         """At d=2, L=32, n=4096 the (M, n) cross kernel is 32 MiB; neither op,
-        forward or backward, allocates that much at its peak."""
+        forward or backward, allocates that much at its peak, on the
+        eigen-grid path (vanilla) or the per-axis resolvent path (tp)."""
         grid_l, n, h = 32, 4096, 2
         rng = np.random.default_rng(23)
         pts = np.linspace(-1, 1, grid_l)
         grams = [axis_gram(AxisKernelParams(c=1.0, beta=1.5, gamma=0.8), pts) for _ in range(2)]
-        r = build_vanilla(grams, -0.7)
+        r = build(grams, -0.7)
         factors = [Tensor(rng.standard_normal((grid_l, n)), requires_grad=True) for _ in range(2)]
         grams_t = [Tensor(k, requires_grad=True) for k in grams]
         alpha = Tensor(np.array(-0.7), requires_grad=True)
@@ -326,12 +331,16 @@ class TestCrossKernel:
         assert peak < m * n * 8
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["vanilla", "tp", "truncated-p3", "fixed-window"])
+    @pytest.mark.parametrize("kind", ["vanilla", "tp", "truncated-p3", "fixed-window",
+                                      "fixed-window-tp"])
     def test_loss_and_grad_match_dense_cross_kernel(self, kind, dim, monkeypatch):
-        """Losses and gradients of a stacked batch against ops that form K-hat."""
-        variant = {"truncated-p3": "truncated", "fixed-window": "vanilla"}.get(kind, kind)
+        """Losses and gradients of a stacked batch against ops that form K-hat
+        in the eigenbasis, also for tp, whose ops apply its per-axis
+        resolvents to the cross-kernel factors instead."""
+        variant = {"truncated-p3": "truncated", "fixed-window": "vanilla",
+                   "fixed-window-tp": "tp"}.get(kind, kind)
         window = None
-        if kind == "fixed-window":
+        if kind.startswith("fixed-window"):
             window = LinearWindowKernel(radius=0.9, scale=1.7, alpha=-0.3)
         cfg = toy_config(dim=dim, variant=variant, truncation_order=3, processor="mlp",
                          fixed_window=window, branches=1 if window else 2)

@@ -141,13 +141,15 @@ class TestTP:
         alpha = -1.3
         sizes = tuple(g.shape[0] for g in grams)
         t = np.random.default_rng(12).standard_normal(sizes + (2,))
-        dense = kron_materialize(
-            [dense_inverse(np.eye(g.shape[0]) - alpha * g) for g in grams]
-        )
+        axis_inverses = [dense_inverse(np.eye(g.shape[0]) - alpha * g) for g in grams]
+        dense = kron_materialize(axis_inverses)
         m = int(np.prod(sizes))
         ref = (dense @ t.reshape(m, 2)).reshape(t.shape)
-        got = apply_resolvent(build_tp(grams, alpha), t)
+        r = build_tp(grams, alpha)
+        got = apply_resolvent(r, t)
         assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+        for rj, inv in zip(r.axis_resolvents, axis_inverses):
+            assert np.abs(rj - inv).max() <= 1e-12 * np.abs(inv).max()
 
 
 def build_truncated_p2(grams, alpha):
@@ -172,7 +174,10 @@ def test_built_operator_is_read_only(build):
         r.diag_weights *= 2
     arrays = [r.diag_weights, *r.cofactors, *(a for pair in r.pairs or () for a in pair)]
     arrays += [a for e in r.axis_eigs for a in (e.eigenvalues, e.eigenvectors)]
+    arrays += r.axis_resolvents or []
     assert not any(a.flags.writeable for a in arrays)
+    # only tp, a Kronecker product of per-axis resolvents, carries them
+    assert (r.axis_resolvents is not None) == (build is build_tp)
 
 
 def truncated(grams, alpha, order, t):
