@@ -51,11 +51,6 @@ __all__ = [
 ]
 
 
-def _unfold(t: np.ndarray, axis: int) -> np.ndarray:
-    """Move tensor axis to the front and flatten the rest (channels last)."""
-    return np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1)
-
-
 def axis_kernel_ad(theta: Tensor, dx: np.ndarray) -> Tensor:
     """The base kernel c * (exp(-(beta d)^2) + exp(-|gamma| |d|)) over an
     array of coordinate differences ``dx``, with theta = (log c, beta, gamma).
@@ -199,6 +194,20 @@ def _weighted(r: Resolvent, t_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray |
     return w, (w if r.pairs is None else t_hat if r.pairs else None)
 
 
+def _slab_products(r: Resolvent, left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
+    """sum_p c_j[p] L_p R_p^T for each axis j, from two
+    (N_1, ..., N_d, channels) eigen-grid tensors, with L_p and R_p their
+    N_j x channels slabs at the point p of the other axes and c_j r's
+    cofactor. Per axis this is one batched GEMM over the slabs, read
+    through axis-moving views without a copy, and one product with c_j
+    after it, as c_j does not vary along axis j."""
+    return [
+        (c.reshape(-1) @ (np.moveaxis(left, j, -2) @ np.moveaxis(right, j, -1)).reshape(-1, n * n))
+        .reshape(n, n)
+        for j, (n, c) in enumerate(zip(r.axis_sizes, r.cofactors))
+    ]
+
+
 def _spectral_grads(
     r: Resolvent, g_side: np.ndarray, x_side: np.ndarray, grams: list[Tensor], alpha: Tensor
 ):
@@ -210,19 +219,19 @@ def _spectral_grads(
 
     The divided difference of D along axis j is
     alpha * c_j * sum_i F_i[a] G_i[b] over r's pairs, so with
-    H_j = sum_i unfold_j(F_i * g-hat) unfold_j(c_j * G_i * x-hat)^T (one
-    GEMM per axis and pair), K_j receives alpha * U_j H_j U_j^T and alpha
-    receives euler * sum_j sum_a lambda_j[a] H_j[a, a]. The grid-shaped
-    weights c_j * G_i are formed before they meet x-hat.
+    H_j = sum_i :func:`_slab_products` of F_i * g-hat and G_i * x-hat,
+    K_j receives alpha * U_j H_j U_j^T and alpha receives
+    euler * sum_j sum_a lambda_j[a] H_j[a, a]. The pair sides, which vary
+    along every axis, are multiplied into the grid tensors first, one pair
+    at a time.
     """
     if r.pairs is None:
-        terms = [(g_side, r.cofactors)]
+        hs = _slab_products(r, g_side, x_side)
     else:
-        terms = ((f[..., None] * g_side, [c * s for c in r.cofactors]) for f, s in r.pairs)
-    hs = [np.zeros((n, n)) for n in r.axis_sizes]
-    for left, weights in terms:
-        for j, w in enumerate(weights):
-            hs[j] += _unfold(left, j) @ _unfold(w[..., None] * x_side, j).T
+        hs = [np.zeros((n, n)) for n in r.axis_sizes]
+        for f, s in r.pairs:
+            for h, term in zip(hs, _slab_products(r, f[..., None] * g_side, s[..., None] * x_side)):
+                h += term
     k_bars, g_alpha = [None] * len(grams), 0.0
     for j, (e, h) in enumerate(zip(r.axis_eigs, hs)):
         if grams[j].requires_grad:

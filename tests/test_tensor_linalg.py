@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,7 +103,7 @@ class TestModeApply:
                 for mat in (a, a.T):  # C- and F-ordered factors
                     ref = np.moveaxis(np.tensordot(mat, x, axes=([1], [axis])), 0, axis)
                     got = mode_apply(x, axis, mat)
-                    assert got.strides == ref.strides and np.array_equal(got, ref)
+                    assert got.flags.c_contiguous and np.array_equal(got, ref)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -156,6 +158,23 @@ class TestKronApply:
         t = np.zeros((4, 5, 6, 2))
         kron_apply([np.eye(4), np.eye(5), np.eye(6)], t)
         assert mode_apply_count() == 3
+
+    def test_mode_products_copy_no_grid_tensor(self):
+        """Each mode product reads its input through a C-order view, so at
+        its peak a d = 3 apply holds one intermediate and the output: no
+        transposed copy of a grid tensor."""
+        rng = np.random.default_rng(6)
+        t = rng.standard_normal((16, 16, 16, 64))
+        mats = [rng.standard_normal((16, 16)) for _ in range(3)]
+        reset_mode_apply_count()
+        tracemalloc.start()
+        try:
+            out = kron_apply(mats, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.flags.c_contiguous and mode_apply_count() == 3
+        assert peak < 2.5 * t.nbytes
 
 
 class TestDenseInverse:
