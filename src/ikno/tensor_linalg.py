@@ -101,8 +101,8 @@ def mode_apply(t: np.ndarray, axis: int, a: np.ndarray) -> np.ndarray:
     ``t`` has shape (N_1, ..., N_d, h); the channel axis is never a valid
     target. With ``t`` read as its C-order view (prod_{l<j} N_l, N_j, rest),
     the product is one batched GEMM of the N_j x N_j matrix against each
-    N_j x rest slab (one plain GEMM when j = 0): no M x M object is formed
-    and no transposed copy of ``t`` is made. The result is C-contiguous.
+    N_j x rest slab: no M x M object is formed and no transposed copy of
+    ``t`` is made. The result is C-contiguous.
     """
     global _MODE_APPLY_CALLS
     t = np.asarray(t, dtype=np.float64)
@@ -117,10 +117,7 @@ def mode_apply(t: np.ndarray, axis: int, a: np.ndarray) -> np.ndarray:
     _MODE_APPLY_CALLS += 1
     lead = math.prod(t.shape[:axis])
     view = t.reshape(lead, t.shape[axis], math.prod(t.shape[axis + 1:]))
-    # np.dot where there is one slab: the same GEMM, with less per-call
-    # work than np.matmul's broadcasting, which small grids notice
-    out = np.dot(a, view[0]) if lead == 1 else np.matmul(a, view)
-    return out.reshape(t.shape)
+    return np.matmul(a, view).reshape(t.shape)
 
 
 def kron_apply(mats: list[np.ndarray], t: np.ndarray) -> np.ndarray:

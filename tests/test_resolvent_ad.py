@@ -8,10 +8,6 @@ f = sum_i <g_i, K_i^T R v_i>, with R the dense (I - alpha*K)^-1 for vanilla,
 the Kronecker product of the per-axis inverses for tp and the partial sum
 sum_{k <= p} (alpha*K)^k for truncated order p. Grams are symmetric, so a
 Gram is perturbed symmetrically and checked through K_bar + K_bar^T.
-
-The Gram and alpha gradients that both ops take from
-``ops_ad._spectral_grads`` are also checked on their own, as the gradient
-of f = <g, R x> for grid tensors g and x.
 """
 
 import tracemalloc
@@ -79,7 +75,7 @@ def make_case(seed, d, direction, n, batch):
     rng = np.random.default_rng(seed)
     grams = [
         axis_gram(AxisKernelParams(c=1.0, beta=1.5, gamma=0.8), np.sort(rng.uniform(-1, 1, size)))
-        for size in rng.integers(2, 5, d)
+        for size in rng.integers(2, 6, d)
     ]
     sizes = tuple(len(k) for k in grams)
     factors = [rng.standard_normal((s, batch * n)) for s in sizes]
@@ -184,55 +180,6 @@ def test_empty_cloud(variant, direction):
     assert all(a.shape[1] == 0 for a in a_bars)
     assert all(not kb.any() for kb in k_bars)
     assert (v_bar.shape == (0, CHANNELS)) if direction == "encode" else not v_bar.any()
-
-
-def spectral_grads(variant, grams, alpha, g, x):
-    """ops_ad._spectral_grads of y = R x, fed g-hat = U^T g and x-hat = U^T x
-    (D-weighted for vanilla's single pair (D, D)) as the ops feed it."""
-    r = BUILDS[variant](grams, alpha)
-    g_side, x_side = r.to_eigenbasis(g), r.to_eigenbasis(x)
-    if r.pairs is None:
-        g_side, x_side = (t * r.diag_weights[..., None] for t in (g_side, x_side))
-    grams_t = [Tensor(k, requires_grad=True) for k in grams]
-    return _spectral_grads(r, g_side, x_side, grams_t, Tensor(np.array(alpha), requires_grad=True))
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("variant", ["vanilla", *TRUNCATED_ORDERS])
-def test_spectral_grads_match_dense_oracle(variant, d):
-    """The Gram and alpha gradients of <g, R(K, alpha) x> against central
-    differences, with R formed densely: the inverse of I - alpha K for
-    vanilla and the partial sum for truncated, whose divided-difference
-    pairs vary along every axis."""
-    rng = np.random.default_rng(40 + d)
-    grams = [
-        axis_gram(AxisKernelParams(c=1.0, beta=1.5, gamma=0.8), np.sort(rng.uniform(-1, 1, size)))
-        for size in rng.integers(2, 6, d)
-    ]
-    sizes = tuple(len(k) for k in grams)
-    g, x = rng.standard_normal((2, *sizes, CHANNELS))
-    alpha = -0.7
-
-    def f(grams_=grams, alpha_=alpha):
-        r = dense_resolvent(variant, grams_, alpha_)
-        return float(np.vdot(g.reshape(len(r), -1), r @ x.reshape(len(r), -1)))
-
-    k_bars, alpha_bar = spectral_grads(variant, grams, alpha, g, x)
-    scale = max(*(np.abs(kb).max() for kb in k_bars), abs(float(alpha_bar)))
-    assert abs(float(alpha_bar) - central(lambda e: f(alpha_=alpha + e))) <= RTOL * scale
-    for j, (k, k_bar) in enumerate(zip(grams, k_bars)):
-        fd_sym = np.empty_like(k)
-        for a in range(len(k)):
-            for b in range(len(k)):
-                e_ab = np.zeros_like(k)
-                e_ab[a, b] += 1.0
-                e_ab[b, a] += 1.0
-                fd_sym[a, b] = central(
-                    lambda e, j=j, e_ab=e_ab: f(
-                        grams_=[kk + e * e_ab if l == j else kk for l, kk in enumerate(grams)]
-                    )
-                )
-        assert np.abs(k_bar + k_bar.T - fd_sym).max() <= RTOL * scale
 
 
 def test_spectral_grads_copy_no_grid_tensor():
