@@ -1,23 +1,30 @@
 """Minimal reverse-mode automatic differentiation over float64 ndarrays.
 
 Just enough machinery for the operator network: broadcast add, subtract,
-multiply and divide, matmul, exp/tanh/sqrt, sums, slicing/reshaping/concat,
-and a hook for custom vector-Jacobian products. The hook serves the ops of
-:mod:`ikno.ops_ad`: each axis kernel factor is one op instead of a chain of
-elementwise nodes, and the Kronecker resolvent operators' forward passes go
-through eigendecompositions that are never differentiated through directly.
+multiply and divide, matmul, exp/tanh/sqrt, sums, slicing/reshaping, and a
+hook for custom vector-Jacobian products. The hook serves the ops of
+:mod:`ikno.ops_ad`: each dense layer and each axis kernel factor is one op
+instead of a chain of elementwise nodes, and the Kronecker resolvent
+operators' forward passes go through eigendecompositions that are never
+differentiated through directly.
 
 Only tensors that require a gradient record a graph. A result whose inputs
 are all constants keeps no parent links and no VJP closure, so a forward
 pass run without trainable parameters (inference, the finite-difference
 oracle) frees each intermediate array as soon as nothing reads it.
+
+Gradients are not copied as they flow. A node's first gradient is borrowed:
+it may be shared with other nodes or be a read-only view. A second one is
+added out of place, and a node copies a borrowed gradient before it writes
+into it, so no node ever writes into an array that another node holds.
+Leaves own their gradients once ``backward`` returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "custom_op"]
+__all__ = ["Tensor", "custom_op"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -34,12 +41,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, requires_grad=False, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self.grad = None
+        self._owns_grad = False
         if self.requires_grad:
             self._parents = parents
             self._vjp = vjp
@@ -52,10 +60,21 @@ class Tensor:
         return self.data.shape
 
     def _accum(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)  # a copy: g may be shared
-        else:
+        if self.grad is None:  # borrowed: g may be shared or a read-only view
+            self.grad, self._owns_grad = g, False
+        elif self._owns_grad:
             self.grad += g
+        else:
+            self.grad, self._owns_grad = self.grad + g, True
+
+    def _owned_grad(self) -> np.ndarray:
+        """The gradient as an array of this node's own, for in-place writes."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        elif not self._owns_grad:
+            self.grad = np.array(self.grad, dtype=np.float64)
+        self._owns_grad = True
+        return self.grad
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every leaf's ``grad``.
@@ -64,7 +83,7 @@ class Tensor:
         its gradient, VJP closure and parent links are dropped, so each
         intermediate array is freed as soon as nothing downstream needs it
         and no reference cycle keeps the graph alive afterwards. Leaves
-        (tensors without a VJP) keep their gradients.
+        (tensors without a VJP) keep their gradients, as arrays of their own.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
@@ -80,7 +99,7 @@ class Tensor:
                 seen.add(id(t))
                 stack.append((t, True))
                 stack.extend((p, False) for p in reversed(t._parents))
-        self.grad = np.ones_like(self.data)
+        self.grad, self._owns_grad = np.ones_like(self.data), True
         while topo:
             t = topo.pop()
             if t._vjp is not None:
@@ -88,6 +107,8 @@ class Tensor:
                     t._vjp(t.grad)
                 t.grad = t._vjp = None
                 t._parents = ()
+            elif t.grad is not None:
+                t._owned_grad()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -199,28 +220,20 @@ class Tensor:
         a = self
         out_data = a.data[idx]
 
+        # a basic index never repeats an element, so it can add in place
+        basic = all(
+            isinstance(i, (int, np.integer, slice)) and not isinstance(i, bool)
+            for i in (idx if isinstance(idx, tuple) else (idx,))
+        )
+
         def vjp(g):
             if a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                np.add.at(a.grad, idx, g)
+                if basic:
+                    a._owned_grad()[idx] += g
+                else:
+                    np.add.at(a._owned_grad(), idx, g)
 
         return Tensor(out_data, parents=(a,), vjp=vjp)
-
-
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accum(g[tuple(sl)])
-
-    return Tensor(out_data, parents=tuple(tensors), vjp=vjp)
 
 
 def custom_op(inputs: list[Tensor], out_data: np.ndarray, backward) -> Tensor:

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from .errors import ChannelMismatchError
 from .kernels import (
     AxisKernelParams,
@@ -39,7 +39,7 @@ from .kernels import (
     grid_linspace,
 )
 from . import ops_ad
-from .ops_ad import axis_kernel_ad, resolvent_decode_ad, resolvent_encode_ad
+from .ops_ad import axis_kernel_ad, dense_ad, resolvent_decode_ad, resolvent_encode_ad
 from .resolvent import Resolvent
 from .rng import Rng64
 
@@ -56,11 +56,7 @@ __all__ = [
     "forward",
     "decode_kernel_params",
     "alpha_indices",
-    "gelu",
 ]
-
-_GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
-_GELU_C1 = 0.044715
 
 
 @dataclass(frozen=True)
@@ -227,11 +223,6 @@ def positional_encode(x) -> np.ndarray:
     return out[0] if single else out
 
 
-def gelu(x: Tensor) -> Tensor:
-    inner = (x + _GELU_C1 * (x * x * x)) * _GELU_C0
-    return 0.5 * x * (1.0 + inner.tanh())
-
-
 @lru_cache(maxsize=32)
 def _grid_for(dim: int, grid_l: int) -> LatentGrid:
     return grid_linspace(dim, grid_l)
@@ -283,6 +274,7 @@ class _Graph:
         self.pv = pv
         self.grid = _grid_for(config.dim, config.grid_l)
         self._seg_cache: dict[str, Tensor] = {}
+        self._branch_cache: dict[int, tuple[Tensor, list[Tensor]]] = {}
         self._gram_cache: dict[int, list[Tensor]] = {}
         self._resolvent_cache: dict[int, Resolvent] = {}
 
@@ -292,11 +284,24 @@ class _Graph:
             self._seg_cache[name] = self.params_t[sl].reshape(*shape)
         return self._seg_cache[name]
 
+    def _branch_params(self, b: int) -> tuple[Tensor, list[Tensor]]:
+        """Branch ``b``'s alpha and its per-axis (log c, beta, gamma) slices
+        of the kernel segment, made once per graph (no slices for a fixed
+        window, whose alpha is a constant)."""
+        if b not in self._branch_cache:
+            win = self.config.fixed_window
+            if win is not None:
+                self._branch_cache[b] = (Tensor(win.alpha), [])
+            else:
+                kern = self.seg("kernel")
+                self._branch_cache[b] = (
+                    kern[b, 0],
+                    [kern[b, 1 + 3 * j : 4 + 3 * j] for j in range(self.config.dim)],
+                )
+        return self._branch_cache[b]
+
     def branch_alpha(self, b: int) -> Tensor:
-        win = self.config.fixed_window
-        if win is not None:
-            return Tensor(win.alpha)
-        return self.seg("kernel")[b, 0]
+        return self._branch_params(b)[0]
 
     def axis_factors(self, b: int, dx: np.ndarray, axis: int) -> Tensor:
         """Base-kernel matrix over coordinate differences for one axis."""
@@ -304,7 +309,7 @@ class _Graph:
         if win is not None:  # the window's scale is spread evenly over the axes
             scale = win.scale ** (1.0 / self.config.dim)
             return Tensor(scale * np.maximum(1.0 - np.abs(dx) / win.radius, 0.0))
-        return axis_kernel_ad(self.seg("kernel")[b, 1 + 3 * axis : 4 + 3 * axis], dx)
+        return axis_kernel_ad(self._branch_params(b)[1][axis], dx)
 
     def axis_grams(self, b: int) -> list[Tensor]:
         if b not in self._gram_cache:
@@ -353,7 +358,8 @@ class _Graph:
     # share one size n_q runs as a single stacked pass: points and queries are
     # stacked sample-major, (B*n, .) and (B*n_q, .); latent features are
     # (M, B*h) with sample i in channels i*h:(i+1)*h, so the resolvents see B*h
-    # channels, and (M*B, h) row-wise for the fusion layers and the processor.
+    # channels, and (M*B, h) row-wise for the processor.
+    # Every dense layer is one ``dense_ad`` op.
 
     def tokenize(self, clouds: Sequence[PointCloud]) -> Tensor:
         """(B*n, h) point tokens."""
@@ -367,29 +373,34 @@ class _Graph:
         feats = positional_encode(_stacked(clouds, "coords"))
         if cfg.in_channels:
             feats = np.concatenate([feats, _stacked(clouds, "channels")], axis=1)
-        x = Tensor(feats)
-        hmid = gelu(x @ self.seg("tokenizer.w0") + self.seg("tokenizer.b0"))
-        return hmid @ self.seg("tokenizer.w1") + self.seg("tokenizer.b1")
+        hmid = dense_ad([Tensor(feats)], self.seg("tokenizer.w0"), self.seg("tokenizer.b0"),
+                        gelu=True)
+        return dense_ad([hmid], self.seg("tokenizer.w1"), self.seg("tokenizer.b1"))
 
     def encode(self, v_p: Tensor, clouds: Sequence[PointCloud]) -> Tensor:
-        """(B*n, h) tokens -> (M*B, h) latent features."""
+        """(B*n, h) tokens -> (M*B, h) latent features.
+
+        The fusion sum_b (R_b K_b V) W_b + bias is computed as
+        sum_b R_b K_b (V W_b) + bias: the kernel integral acts on points and
+        a fusion block on channels, so they commute, and each block meets
+        the B*n tokens instead of the M*B grid rows."""
         cfg = self.config
-        batch, m, h = len(clouds), self.grid.num_points, v_p.shape[-1]
+        batch, h = len(clouds), v_p.shape[-1]
         coords = _stacked(clouds, "coords")
+        v_w = v_p @ self.seg("enc_fusion.w").reshape(cfg.branches, h, h)  # (q, B*n, h)
         outs = [
-            self.resolvent_op(resolvent_encode_ad, b, v_p, coords, batch).reshape(m * batch, h)
+            self.resolvent_op(resolvent_encode_ad, b, v_w[b], coords, batch)
             for b in range(cfg.branches)
         ]
-        fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
-        return fused @ self.seg("enc_fusion.w") + self.seg("enc_fusion.b")
+        return dense_ad(outs, None, self.seg("enc_fusion.b"))
 
     def process(self, v_g: Tensor) -> Tensor:
         cfg = self.config
         if cfg.processor == "identity":
             return v_g
         if cfg.processor == "mlp":
-            mid = gelu(v_g @ self.seg("proc.w0") + self.seg("proc.b0"))
-            return v_g + (mid @ self.seg("proc.w1") + self.seg("proc.b1"))
+            mid = dense_ad([v_g], self.seg("proc.w0"), self.seg("proc.b0"), gelu=True)
+            return v_g + dense_ad([mid], self.seg("proc.w1"), self.seg("proc.b1"))
         m = self.grid.num_points
         batch = v_g.shape[0] // m
 
@@ -416,10 +427,9 @@ class _Graph:
             self.resolvent_op(resolvent_decode_ad, b, v_gp, coords, batch)
             for b in range(cfg.branches)
         ]
-        fused = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
-        fused = fused @ self.seg("dec_fusion.w") + self.seg("dec_fusion.b")
-        mid = gelu(fused @ self.seg("head.w0") + self.seg("head.b0"))
-        return mid @ self.seg("head.w1") + self.seg("head.b1")
+        fused = dense_ad(outs, self.seg("dec_fusion.w"), self.seg("dec_fusion.b"))
+        mid = dense_ad([fused], self.seg("head.w0"), self.seg("head.b0"), gelu=True)
+        return dense_ad([mid], self.seg("head.w1"), self.seg("head.b1"))
 
     def forward(self, clouds: Sequence[PointCloud], queries: Sequence[PointCloud]) -> Tensor:
         """Stacked (B*n_q, out_channels) predictions of a batch whose clouds
