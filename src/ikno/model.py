@@ -256,9 +256,9 @@ class _Graph:
     """Forward passes over AD tensors for one parameter vector; parameter
     slices, Grams and resolvents are cached, so a batch's samples share them.
     Each branch's operator goes to ``resolvent_encode_ad`` and
-    ``resolvent_decode_ad``, as looked up in this module, which pick the
-    path from its structure: tp's per-axis resolvents act on the
-    cross-kernel factors, the other variants rotate the latent grid.
+    ``resolvent_decode_ad``, as looked up in this module: one op per
+    direction for every variant, over the operator's factor maps and grid
+    map (tp's per-axis resolvents and the identity, or the eigenbasis).
 
     A graph that records no gradient (``_np_graph``: inference, ``evaluate``,
     ``batch_loss`` and the finite-difference oracle) also takes each branch's

@@ -23,19 +23,18 @@ batch meets its cross kernels sample by sample, so the operators see the
 whole batch as extra channels.
 
 The encoder's R K_GP V and the decoder's K_QG R v are one op each over a
-prebuilt :class:`ikno.resolvent.Resolvent`, which serves both ops, and the
-operator's structure picks one of two paths. Vanilla and the truncated
-partial sum are R = U diag(D) U^T in the axis eigenbasis, and
-U^T KR(A_1, ..., A_d) = KR(U_1^T A_1, ..., U_d^T A_d) (the mixed-product
-rule): the rotation on the cross-kernel side runs on the N_j x n factors,
-and the latent grid is rotated once per direction, d mode products in the
-forward pass and d in the backward pass, whatever the truncation order.
-Only D and the divided-difference pairs of the Gram gradient differ
-between them. Tp is the Kronecker product R_1 (x) ... (x) R_d of per-axis
-resolvents R_j = (I - alpha K_j)^-1, so R KR(A_1, ..., A_d)
-= KR(R_1 A_1, ..., R_d A_d): its ops apply R_j to the factors and take no
-mode products at all, and its Gram and alpha gradients are N_j x N_j
-products per axis.
+prebuilt :class:`ikno.resolvent.Resolvent`, one body for every variant.
+Each operator meets a cross kernel through its factors,
+R KR(A_1, ..., A_d) = G KR(F_1 A_1, ..., F_d A_d), with per-axis factor
+maps F_j and a grid map G (:class:`_OperatorMaps`). Vanilla and the
+truncated partial sum are R = U diag(D) U^T in the axis eigenbasis, so
+F_j = U_j^T (the mixed-product rule) and G = U diag(D): d mode products
+per op and pass, whatever the truncation order, and eigen-grid Gram
+gradients. Tp is R_1 (x) ... (x) R_d with R_j = (I - alpha K_j)^-1, so
+F_j = R_j and G is the identity: no mode products, and N_j x N_j Gram
+gradients per axis. A forward pass maps the factors, contracts the
+Khatri-Rao product and applies the grid map (its transpose, first, for
+decode); the backward pass takes the same steps in reverse.
 """
 
 from __future__ import annotations
@@ -147,7 +146,7 @@ def axis_kernel_ad(theta: Tensor, dx: np.ndarray) -> Tensor:
 class KhatriRaoCross:
     """A stacked batch's cross kernel K = KR(A_1, ..., A_d), (M, B*n), held
     factor by factor and never formed; in the ops the factors are the
-    rotated U_j^T A_j, so this is K-hat = U^T K (the mixed-product rule).
+    mapped F_j A_j of :class:`_OperatorMaps`.
 
     In C order over the grid, K[(a, b), p] = A_1[a, p] P[p, b] with
     P = KR(A_2, ..., A_d)^T, (B*n, M/N_1) and N_1 times smaller than K (a
@@ -201,11 +200,6 @@ class KhatriRaoCross:
         b, n, _, h = s.shape
         return (self.p[:, :, None, :] @ s).reshape(b * n, h)
 
-    def rest_grad(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """sum_h S . X, (B, n, M/N_1), with X the points' (B*n, h) values."""
-        b, n, _, h = s.shape
-        return (s @ x.reshape(b, n, h, 1))[..., 0]
-
     def grid_sum(self, x: np.ndarray) -> np.ndarray:
         """K X per sample, (N_1, ..., N_d, B*h), from stacked (B*n, h) X."""
         return self.to_grid(self.products(x))
@@ -215,49 +209,30 @@ class KhatriRaoCross:
         memory order."""
         return self.rest_sum(self.from_grid(self.sample_major(y)))
 
-    def factor_grads(self, a1_bar: np.ndarray, p_bar: np.ndarray | None) -> list[np.ndarray]:
-        """The (N_j, B*n) factor gradients, from A_1's per-sample (B, N_1, n)
-        gradient and P's (B, n, M/N_1) gradient (None at d = 1). P's reaches
-        A_2, ..., A_d through the Khatri-Rao VJP over those d - 1 factors:
-        for each axis, multiply by the other axes' factors and sum over
-        their axes."""
+    def factor_grads(self, ys: np.ndarray, t: np.ndarray, s: np.ndarray, x: np.ndarray) -> list:
+        """The (N_j, B*n) factor gradients of sum_b <Y_b, K_b X_b>, from Y
+        read per sample (``ys``), T = P . X, S = A_1^T Y and the points'
+        (B*n, h) values X. A_1 receives Y T^T per sample and P receives
+        sum_h S . X, which reaches A_2, ..., A_d through the Khatri-Rao VJP
+        over those d - 1 factors: for each axis, multiply by the other axes'
+        factors and sum over their axes."""
+        a1_bar = ys @ t.swapaxes(1, 2)
         b, n1, n = a1_bar.shape
         grads = [a1_bar.swapaxes(0, 1).reshape(n1, b * n)]
         rest = self.sizes[1:]
         if rest:
-            t = p_bar.reshape(b * n, *rest)
+            p_bar = (s @ x.reshape(b, n, x.shape[-1], 1)).reshape(b * n, *rest)
             spread = [
-                a.T.reshape(b * n, *(s if k == l else 1 for k, s in enumerate(rest)))
+                a.T.reshape(b * n, *(m if k == l else 1 for k, m in enumerate(rest)))
                 for l, a in enumerate(self.factors[1:])
             ]
             for j in range(len(rest)):
-                x = t
+                prod = p_bar
                 for l, f in enumerate(spread):
                     if l != j:
-                        x = x * f
-                grads.append(x.sum(axis=tuple(1 + l for l in range(len(rest)) if l != j)).T)
+                        prod = prod * f
+                grads.append(prod.sum(axis=tuple(1 + l for l in range(len(rest)) if l != j)).T)
         return grads
-
-
-def _eigen_cross(r: Resolvent, factors: list[Tensor], batch: int) -> KhatriRaoCross:
-    """K-hat = U^T KR(A_1, ..., A_d) = KR(U_1^T A_1, ..., U_d^T A_d): the
-    cross kernel enters the eigenbasis through its small factors."""
-    return KhatriRaoCross([e.eigenvectors.T @ f.data for e, f in zip(r.axis_eigs, factors)], batch)
-
-
-def _rotate_back(r: Resolvent, a_hat_bars: list[np.ndarray]) -> list[np.ndarray]:
-    """A_j's gradient U_j A-hat_j-bar, from the rotated factors' gradients."""
-    return [e.eigenvectors @ g for e, g in zip(r.axis_eigs, a_hat_bars)]
-
-
-def _weighted(r: Resolvent, t_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """D * t-hat for an eigenbasis tensor t-hat, written C-contiguous so that
-    its reshapes need no copy, and the side of r's divided-difference pairs that t-hat feeds
-    :func:`_spectral_grads`: t-hat itself, or D * t-hat for the single pair
-    (D, D) of vanilla and tp, so that their t-hat need not stay alive, or
-    None where there are no pairs (truncated order 0)."""
-    w = np.multiply(t_hat, r.diag_weights[..., None], order="C")
-    return w, (w if r.pairs is None else t_hat if r.pairs else None)
 
 
 def _slab_products(r: Resolvent, left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
@@ -279,7 +254,7 @@ def _spectral_grads(
 ):
     """The Gram and alpha gradients of y = R x, from g-hat = U^T g and
     x-hat = U^T x, both (N_1, ..., N_d, channels). For the single pair
-    (D, D) of vanilla and tp, ``g_side`` and ``x_side`` are D * g-hat and
+    (D, D) of vanilla, ``g_side`` and ``x_side`` are D * g-hat and
     D * x-hat, which the ops hold anyway; otherwise they are g-hat and x-hat,
     and neither is read where there are no pairs.
 
@@ -312,102 +287,116 @@ def _spectral_needed(grams: list[Tensor], alpha: Tensor) -> bool:
     return alpha.requires_grad or any(k.requires_grad for k in grams)
 
 
-def _kron_cross(r: Resolvent, factors: list[Tensor], batch: int) -> KhatriRaoCross:
-    """R KR(A_1, ..., A_d) = KR(R_1 A_1, ..., R_d A_d) for the Kronecker
-    product R = R_1 (x) ... (x) R_d: the operator enters through the small
-    factors, and the latent grid is never rotated."""
-    return KhatriRaoCross([rj @ f.data for rj, f in zip(r.axis_resolvents, factors)], batch)
+class _OperatorMaps:
+    """A branch operator R as the resolvent ops see it: one factorization
+    R KR(A_1, ..., A_d) = G KR(F_1 A_1, ..., F_d A_d), with per-axis factor
+    maps F_j (``maps``, their transposes ``maps_t``) and a grid map G,
+    ``weigh`` then ``rotate_out``, whose transpose is ``rotate_in`` then
+    ``weigh``. G is the identity here, and ``weigh`` also returns the side
+    of its input that :meth:`gram_grads`, the Gram and alpha VJP, reads
+    where it reads eigen-grid sides (``reads_sides``); a VJP that reads the
+    factor maps' gradients sets ``reads_map_grads``. :func:`_operator_maps`
+    picks the factorization."""
+
+    reads_sides = reads_map_grads = False
+
+    def __init__(self, r: Resolvent, maps: tuple, maps_t: tuple):
+        self.r, self.maps, self.maps_t = r, maps, maps_t
+
+    rotate_in = rotate_out = staticmethod(lambda y: y)
+    weigh = staticmethod(lambda t: (t, None))
+
+    def cross(self, factors: list[Tensor], batch: int) -> KhatriRaoCross:
+        """KR(F_1 A_1, ..., F_d A_d), with the A_j the (N_j, B*n) factors."""
+        return KhatriRaoCross([f @ a.data for f, a in zip(self.maps, factors)], batch)
+
+    def needs(self, factors: list[Tensor], grams: list[Tensor], alpha: Tensor) -> tuple[bool, bool]:
+        """Whether a backward pass needs the factor maps' gradients, and
+        the eigen-grid sides."""
+        spectral = _spectral_needed(grams, alpha)
+        learnable = any(f.requires_grad for f in factors)
+        return learnable or (spectral and self.reads_map_grads), spectral and self.reads_sides
+
+    def input_grads(self, factors, map_bars, v_bar, g_side, x_side, grams, alpha) -> list:
+        """An op's gradients in input order: the factors' F_j^T F-bar_j, from
+        the factor maps' (N_j, B*n) gradients ``map_bars`` (None where none
+        is needed), ``v_bar``, and the Gram and alpha gradients."""
+        a_bars = [None] * len(factors)
+        if map_bars is not None:
+            a_bars = [ft @ g if f.requires_grad else None
+                      for ft, f, g in zip(self.maps_t, factors, map_bars)]
+        k_bars, a_bar = [None] * len(grams), None
+        if _spectral_needed(grams, alpha):
+            k_bars, a_bar = self.gram_grads(factors, map_bars, g_side, x_side, grams, alpha)
+        return [*a_bars, v_bar, *k_bars, a_bar]
 
 
-def _factors_needed(factors: list[Tensor], grams: list[Tensor], alpha: Tensor) -> bool:
-    """Whether a Kronecker op's backward needs the factors' gradients: the
-    Grams' and alpha's come from them too."""
-    return any(f.requires_grad for f in factors) or _spectral_needed(grams, alpha)
+class _EigenMaps(_OperatorMaps):
+    """R = U diag(D) U^T, vanilla and the truncated partial sum: F_j = U_j^T,
+    as U^T KR(A_1, ..., A_d) = KR(U_1^T A_1, ..., U_d^T A_d) (the
+    mixed-product rule), and G = U diag(D), d mode products each way,
+    whatever the truncation order. U is never differentiated: R acts on
+    the cross kernel's product with the points' values, which does not
+    depend on the Grams, so the rotation only re-associates the product.
+    The Gram and alpha VJP is :func:`_spectral_grads` of the eigen-grid
+    sides, read wherever r has divided-difference pairs."""
+
+    def __init__(self, r: Resolvent):
+        us = tuple(e.eigenvectors for e in r.axis_eigs)
+        super().__init__(r, tuple(u.T for u in us), us)
+        self.rotate_in, self.rotate_out = r.to_eigenbasis, r.from_eigenbasis
+        self.reads_sides = r.pairs != ()
+
+    def side(self, t_hat: np.ndarray) -> np.ndarray:
+        """The side of a fresh eigen-grid tensor t-hat that
+        :func:`_spectral_grads` reads: D * t-hat, scaled in place, for the
+        single pair (D, D) of vanilla, so that t-hat need not stay alive,
+        and t-hat itself for the pairs of a partial sum."""
+        if self.r.pairs is None:
+            t_hat *= self.r.diag_weights[..., None]
+        return t_hat
+
+    def weigh(self, t_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """D * t-hat for a fresh C-contiguous eigen-grid tensor t-hat, and
+        its :meth:`side`, or None where there are no pairs (truncated order
+        0). t-hat is scaled in place unless the pairs read it."""
+        if self.r.pairs:
+            return np.multiply(t_hat, self.r.diag_weights[..., None], order="C"), t_hat
+        t_hat *= self.r.diag_weights[..., None]
+        return t_hat, (t_hat if self.r.pairs is None else None)
+
+    def gram_grads(self, factors, map_bars, g_side, x_side, grams, alpha):
+        return _spectral_grads(self.r, g_side, x_side, grams, alpha)
 
 
-def _kron_grads(
-    r: Resolvent, factors: list[Tensor], a_tilde_bars: list[np.ndarray] | None,
-    grams: list[Tensor], alpha: Tensor,
-) -> tuple[list, list, np.ndarray | None]:
-    """The factor, Gram and alpha gradients of A-tilde_j = R_j A_j, from the
-    (N_j, B*n) gradients of the A-tilde_j (None where none is needed).
+class _KronMaps(_OperatorMaps):
+    """R = R_1 (x) ... (x) R_d, tp's per-axis resolvents
+    R_j = (I - alpha K_j)^-1: F_j = R_j (symmetric, so also F_j^T), as
+    R KR(A_1, ..., A_d) = KR(R_1 A_1, ..., R_d A_d), and G the identity, so
+    the ops take no mode products at all."""
 
-    A_j receives R_j A-tilde-bar_j (R_j is symmetric), and R_j receives
-    R-bar_j = A-tilde-bar_j A_j^T. As dR_j = R_j d(alpha K_j) R_j, with
-    Q_j = R_j R-bar_j R_j, K_j receives alpha Q_j and alpha receives
-    sum_j <Q_j, K_j>: N_j x N_j algebra per axis, nothing on the grid.
-    """
-    a_bars, k_bars, g_alpha = [None] * len(factors), [None] * len(grams), 0.0
-    if a_tilde_bars is None:
-        return a_bars, k_bars, None
-    spectral = _spectral_needed(grams, alpha)
-    for j, (rj, f, g) in enumerate(zip(r.axis_resolvents, factors, a_tilde_bars)):
-        if f.requires_grad:
-            a_bars[j] = rj @ g
-        if spectral:
+    reads_map_grads = True
+
+    def gram_grads(self, factors, map_bars, g_side, x_side, grams, alpha):
+        """R_j receives R-bar_j = A-tilde-bar_j A_j^T from the gradient of
+        A-tilde_j = R_j A_j. As dR_j = R_j d(alpha K_j) R_j, with
+        Q_j = R_j R-bar_j R_j, K_j receives alpha Q_j and alpha receives
+        sum_j <Q_j, K_j>: N_j x N_j algebra per axis, nothing on the grid."""
+        k_bars, g_alpha = [None] * len(grams), 0.0
+        for j, (rj, f, g) in enumerate(zip(self.maps, factors, map_bars)):
             q = rj @ (g @ f.data.T) @ rj
             if grams[j].requires_grad:
-                k_bars[j] = r.alpha * q
+                k_bars[j] = self.r.alpha * q
             g_alpha += np.vdot(q, grams[j].data)
-    return a_bars, k_bars, (np.array(g_alpha) if alpha.requires_grad else None)
+        return k_bars, (np.array(g_alpha) if alpha.requires_grad else None)
 
 
-def _kron_encode_ad(
-    r: Resolvent, factors: list[Tensor], v: Tensor, grams: list[Tensor], alpha: Tensor, batch: int
-) -> Tensor:
-    """:func:`resolvent_encode_ad` for a Kronecker-product operator:
-    y = KR(R_1 A_1, ..., R_d A_d) V, read per sample. With the rotated
-    cross kernel held as a :class:`KhatriRaoCross`, W = g read per sample
-    and S = A-tilde_1^T W, V receives sum_b P . S, P receives sum_h S . V
-    and A-tilde_1 receives W (P . V)^T; :func:`_kron_grads` takes those to
-    the factors, Grams and alpha. No mode products in either pass."""
-    cross = _kron_cross(r, factors, batch)
-    y = cross.grid_sum(v.data)
-
-    def backward(g):
-        needed, v_bar, a_tilde_bars = _factors_needed(factors, grams, alpha), None, None
-        if needed or v.requires_grad:
-            ws = cross.sample_major(g)
-            s = cross.from_grid(ws)
-            if v.requires_grad:
-                v_bar = cross.rest_sum(s)
-            if needed:
-                p_bar = cross.rest_grad(s, v.data) if len(factors) > 1 else None
-                t = cross.products(v.data)  # recomputed, as the op keeps no copy
-                a_tilde_bars = cross.factor_grads(ws @ t.swapaxes(1, 2), p_bar)
-        a_bars, k_bars, a_bar = _kron_grads(r, factors, a_tilde_bars, grams, alpha)
-        return [*a_bars, v_bar, *k_bars, a_bar]
-
-    return custom_op([*factors, v, *grams, alpha], y, backward)
-
-
-def _kron_decode_ad(
-    r: Resolvent, factors: list[Tensor], v: Tensor, grams: list[Tensor], alpha: Tensor, batch: int
-) -> Tensor:
-    """:func:`resolvent_decode_ad` for a Kronecker-product operator:
-    out = KR(R_1 A_1, ..., R_d A_d)^T v (R is symmetric), read per sample.
-    With T = P . g, v receives A-tilde_1 T per sample, A-tilde_1 receives
-    Y T^T and P receives sum_h S . g, with Y = v read per sample and
-    S = A-tilde_1^T Y recomputed; :func:`_kron_grads` takes those to the
-    factors, Grams and alpha. No mode products in either pass."""
-    cross = _kron_cross(r, factors, batch)
-    y = v.data.reshape(*r.axis_sizes, -1)
-    out = cross.point_sum(y)
-
-    def backward(g):
-        needed, v_bar, a_tilde_bars = _factors_needed(factors, grams, alpha), None, None
-        if needed or v.requires_grad:
-            t = cross.products(g)
-            if v.requires_grad:
-                v_bar = cross.to_grid(t)
-            if needed:
-                ys = cross.sample_major(y)
-                p_bar = cross.rest_grad(cross.from_grid(ys), g) if len(factors) > 1 else None
-                a_tilde_bars = cross.factor_grads(ys @ t.swapaxes(1, 2), p_bar)
-        a_bars, k_bars, a_bar = _kron_grads(r, factors, a_tilde_bars, grams, alpha)
-        return [*a_bars, v_bar, *k_bars, a_bar]
-
-    return custom_op([*factors, v, *grams, alpha], out, backward)
+def _operator_maps(r: Resolvent) -> _OperatorMaps:
+    """The ops' view of ``r``: tp's per-axis resolvents where it carries
+    them, its eigen factorization otherwise."""
+    if r.axis_resolvents is None:
+        return _EigenMaps(r)
+    return _KronMaps(r, r.axis_resolvents, r.axis_resolvents)
 
 
 def resolvent_encode_ad(
@@ -416,53 +405,37 @@ def resolvent_encode_ad(
     """y = R blocks(K_GP) V: the (N_1, ..., N_d, B*h) latent features of a
     stacked batch of B clouds.
 
-    ``r`` is the operator U diag(D) U^T built from the values of ``grams``
-    and ``alpha``; ``factors`` are the (N_j, B*n) axis factors of the
-    encoder's cross kernel K_GP = KR(A_1, ..., A_d), and ``v`` the (B*n, h)
-    point tokens. A tp operator, which carries its per-axis resolvents,
-    goes to :func:`_kron_encode_ad`, which takes no mode products.
-    Otherwise, with the rotated K-hat = U^T K_GP held as a
-    :class:`KhatriRaoCross` (A-hat_1 and P), the forward pass is
-    x-hat = A-hat_1 (P . V) per sample and y-hat = D * x-hat, then
-    y = U y-hat: d mode products. The backward pass takes d more, for
-    g-hat = U^T g and w-hat = D * g-hat. With W = w-hat read per sample and
-    S = A-hat_1^T W, V receives sum_b P . S, P receives sum_h S . V,
-    A-hat_1 receives W (P . V)^T, and the Grams and alpha
-    :func:`_spectral_grads` of g-hat and x-hat. U is never differentiated:
-    R acts on K_GP V, which does not depend on the Grams, so the rotation
-    only re-associates the product. No M x (B*n) array is formed in either
-    pass.
+    ``r`` is the branch operator built from the values of ``grams`` and
+    ``alpha``; ``factors`` are the (N_j, B*n) axis factors of the encoder's
+    cross kernel K_GP = KR(A_1, ..., A_d), and ``v`` the (B*n, h) point
+    tokens. With r's factor maps applied, the cross kernel is held as a
+    :class:`KhatriRaoCross` (A-hat_1 and P), and the forward pass is
+    x-hat = A-hat_1 (P . V) per sample and y = G x-hat. The backward pass
+    reverses it: with W = G^T g read per sample and S = A-hat_1^T W, V
+    receives sum_b P . S, A-hat_1 receives W (P . V)^T and P sum_h S . V,
+    which the maps' transposes take to the factors. The Gram and alpha VJP
+    reads those gradients or the eigen-grid sides of g and of x-hat,
+    recomputed as the op keeps no copy. A step runs only if an input that
+    needs a gradient reads it, and no M x (B*n) array is formed.
     """
-    if r.axis_resolvents is not None:
-        return _kron_encode_ad(r, factors, v, grams, alpha, batch)
-    cross = _eigen_cross(r, factors, batch)
-    y_hat = cross.grid_sum(v.data)
-    y_hat *= r.diag_weights[..., None]
-    y = r.from_eigenbasis(y_hat)
+    op = _operator_maps(r)
+    cross = op.cross(factors, batch)
+    y = op.rotate_out(op.weigh(cross.grid_sum(v.data))[0])
 
     def backward(g):
-        w_hat, g_side = _weighted(r, r.to_eigenbasis(g))
-        learnable, spectral = any(f.requires_grad for f in factors), _spectral_needed(grams, alpha)
-        # T = P . V (and from it x-hat) is recomputed, as the op keeps no copy
-        t = cross.products(v.data) if learnable or (spectral and r.pairs != ()) else None
-        a_bars, v_bar = [None] * len(factors), None
-        if learnable or v.requires_grad:
-            ws = cross.sample_major(w_hat)
+        need_bars, need_sides = op.needs(factors, grams, alpha)
+        w, g_side = op.weigh(op.rotate_in(g))
+        t = cross.products(v.data) if need_bars or need_sides else None
+        v_bar = map_bars = None
+        if need_bars or v.requires_grad:
+            ws = cross.sample_major(w)
             s = cross.from_grid(ws)
             if v.requires_grad:
                 v_bar = cross.rest_sum(s)
-            if learnable:
-                p_bar = cross.rest_grad(s, v.data) if len(factors) > 1 else None
-                a_bars = _rotate_back(r, cross.factor_grads(ws @ t.swapaxes(1, 2), p_bar))
-        k_bars, a_bar = [None] * len(grams), None
-        if spectral:
-            x_side = None
-            if r.pairs != ():
-                x_side = cross.to_grid(t)
-                if r.pairs is None:
-                    x_side *= r.diag_weights[..., None]
-            k_bars, a_bar = _spectral_grads(r, g_side, x_side, grams, alpha)
-        return [*a_bars, v_bar, *k_bars, a_bar]
+            if need_bars:
+                map_bars = cross.factor_grads(ws, t, s, v.data)
+        x_side = op.side(cross.to_grid(t)) if need_sides else None
+        return op.input_grads(factors, map_bars, v_bar, g_side, x_side, grams, alpha)
 
     return custom_op([*factors, v, *grams, alpha], y, backward)
 
@@ -476,36 +449,32 @@ def resolvent_decode_ad(
     ``r`` is as for :func:`resolvent_encode_ad`; ``factors`` are the
     (N_j, B*n_q) axis factors of the decoder's cross kernel
     K_QG = KR(A_1, ..., A_d)^T, and ``v`` holds the latent features in the
-    (N_1, ..., N_d, B*h) memory order, as (M*B, h) or grid-shaped. A tp
-    operator goes to :func:`_kron_decode_ad`, which takes no mode products.
-    Otherwise the forward pass takes d mode products for x-hat = U^T v and
-    y-hat = D * x-hat, then, with K-hat = U^T K_QG^T held as a
-    :class:`KhatriRaoCross`, Y = y-hat read per sample and
-    S = A-hat_1^T Y, out = sum_b P . S. The backward pass takes d more:
-    with T = P . g, g-hat = A-hat_1 T per sample and w-hat = D * g-hat,
-    v receives U w-hat, A-hat_1 receives Y T^T, P receives sum_h S . g
-    (S recomputed from y-hat), and the Grams and alpha
-    :func:`_spectral_grads` of g-hat and x-hat. No M x (B*n_q) array is
-    formed in either pass.
+    (N_1, ..., N_d, B*h) memory order, as (M*B, h) or grid-shaped. R is
+    symmetric, so with the mapped cross kernel held as a
+    :class:`KhatriRaoCross`, the forward pass is y = G^T v and, with
+    Y = y read per sample and S = A-hat_1^T Y, out = sum_b P . S. The
+    backward pass reverses it: with T = P . g and g-hat = A-hat_1 T per
+    sample, v receives G g-hat, A-hat_1 receives Y T^T and P sum_h S . g,
+    which the maps' transposes take to the factors. The Gram and alpha VJP
+    reads those gradients or the eigen-grid sides of g-hat and of U^T v.
+    A step runs only if an input that needs a gradient reads it, and no
+    M x (B*n_q) array is formed.
     """
-    if r.axis_resolvents is not None:
-        return _kron_decode_ad(r, factors, v, grams, alpha, batch)
-    cross = _eigen_cross(r, factors, batch)
-    y_hat, x_side = _weighted(r, r.to_eigenbasis(v.data.reshape(*r.axis_sizes, -1)))
-    out = cross.point_sum(y_hat)
+    op = _operator_maps(r)
+    cross = op.cross(factors, batch)
+    y, x_side = op.weigh(op.rotate_in(v.data.reshape(*r.axis_sizes, -1)))
+    out = cross.point_sum(y)
 
     def backward(g):
+        need_bars, need_sides = op.needs(factors, grams, alpha)
         t = cross.products(g)
-        a_bars = [None] * len(factors)
-        if any(f.requires_grad for f in factors):
-            ys = cross.sample_major(y_hat)
-            p_bar = cross.rest_grad(cross.from_grid(ys), g) if len(factors) > 1 else None
-            a_bars = _rotate_back(r, cross.factor_grads(ys @ t.swapaxes(1, 2), p_bar))
-        w_hat, g_side = _weighted(r, cross.to_grid(t))
-        k_bars, a_bar = [None] * len(grams), None
-        if _spectral_needed(grams, alpha):
-            k_bars, a_bar = _spectral_grads(r, g_side, x_side, grams, alpha)
-        v_bar = r.from_eigenbasis(w_hat) if v.requires_grad else None
-        return [*a_bars, v_bar, *k_bars, a_bar]
+        v_bar = map_bars = g_side = None
+        if need_bars:
+            ys = cross.sample_major(y)
+            map_bars = cross.factor_grads(ys, t, cross.from_grid(ys), g)
+        if v.requires_grad or need_sides:
+            w, g_side = op.weigh(cross.to_grid(t))
+            v_bar = op.rotate_out(w) if v.requires_grad else None
+        return op.input_grads(factors, map_bars, v_bar, g_side, x_side, grams, alpha)
 
     return custom_op([*factors, v, *grams, alpha], out, backward)

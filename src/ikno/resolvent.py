@@ -70,10 +70,10 @@ class Resolvent:
 
     Only :func:`build_tp` fills ``axis_resolvents``, the per-axis
     (I - alpha * K_j)^-1 = U_j diag(1 / (1 - alpha * lambda_j)) U_j^T whose
-    Kronecker product is R. The ops apply them to the cross-kernel factors
-    directly and never rotate the latent grid; D, ``cofactors`` and
-    ``euler`` stay valid for tp, and the eigen-grid apply and its oracles
-    use them.
+    Kronecker product is R. Where they are set, the AD ops take them as the
+    factor maps and the identity as the grid map, and U_j^T and U diag(D)
+    otherwise (:class:`ikno.ops_ad._OperatorMaps`); D, ``cofactors`` and
+    ``euler`` stay valid for tp, for the eigen-grid apply and its oracles.
 
     Its arrays are made read-only on construction, so an operator shared
     between forward passes (the model's cache) cannot be corrupted in place.
