@@ -292,11 +292,11 @@ class _OperatorMaps:
     R KR(A_1, ..., A_d) = G KR(F_1 A_1, ..., F_d A_d), with per-axis factor
     maps F_j (``maps``, their transposes ``maps_t``) and a grid map G,
     ``weigh`` then ``rotate_out``, whose transpose is ``rotate_in`` then
-    ``weigh``. G is the identity here, and ``weigh`` also returns the side
-    of its input that :meth:`gram_grads`, the Gram and alpha VJP, reads
-    where it reads eigen-grid sides (``reads_sides``); a VJP that reads the
-    factor maps' gradients sets ``reads_map_grads``. :func:`_operator_maps`
-    picks the factorization."""
+    ``weigh``; both are the identity unless a subclass sets them. ``weigh``
+    also returns the side of its input that :meth:`gram_grads`, the Gram
+    and alpha VJP, reads where it reads eigen-grid sides (``reads_sides``);
+    a VJP that reads the factor maps' gradients sets ``reads_map_grads``.
+    :func:`_operator_maps` picks the factorization."""
 
     reads_sides = reads_map_grads = False
 

@@ -518,20 +518,41 @@ def _dense_axis_grams(cfg: ModelConfig, pv, grid) -> list[np.ndarray]:
             for pts in grid.per_axis_points]
 
 
-def _tp_contractions(graph, batch: int, pts, v, y, inject_fault):
-    """The tp encode op's R K_GP V, (M, B, h), and the decode op's
-    K_QG R Y, (B, n, h), over the model's Grams, alpha and cross factors.
-    The ``tp-factors-unrotated`` fault hands the ops identity per-axis
-    resolvents, so they contract the bare cross-kernel factors."""
+def _op_contractions(graph, build, batch: int, pts, v, y, inject_fault):
+    """The encode op's R K_GP V, (M, B, h), and the decode op's K_QG R Y,
+    (B, n, h), over the operator ``build`` makes from the model's Grams and
+    alpha, and the model's cross factors. The ``tp-factors-unrotated``
+    fault hands a tp operator identity per-axis resolvents, so its ops
+    contract the bare cross-kernel factors."""
     grams, alpha = graph.axis_grams(0), graph.branch_alpha(0)
-    r = build_tp([k.data for k in grams], float(alpha.data))
-    if inject_fault == "tp-factors-unrotated":
+    r = build([k.data for k in grams], float(alpha.data))
+    if inject_fault == "tp-factors-unrotated" and build is build_tp:
         r = replace(r, axis_resolvents=tuple(np.eye(n) for n in r.axis_sizes))
     factors = graph.cross_factors(0, pts)
     m, h = y.shape[0], y.shape[-1]
     enc = resolvent_encode_ad(r, factors, Tensor(v), grams, alpha, batch)
     dec = resolvent_decode_ad(r, factors, Tensor(y.reshape(m * batch, h)), grams, alpha, batch)
     return enc.data.reshape(m, batch, h), dec.data.reshape(batch, -1, h)
+
+
+def _dense_operators(grams: list[np.ndarray], alpha: float) -> dict:
+    """The dense tp, vanilla and truncated (p = 2) operators over axis Grams:
+    kron((I - alpha K_1)^-1, ..., (I - alpha K_d)^-1), (I - alpha K)^-1 and
+    I + alpha K + (alpha K)^2, with K = kron(K_1, ..., K_d)."""
+    ak = alpha * kron_materialize(grams)
+    eye = np.eye(ak.shape[0])
+    return {
+        "tp": kron_materialize([np.linalg.inv(np.eye(k.shape[0]) - alpha * k) for k in grams]),
+        "vanilla": np.linalg.inv(eye - ak),
+        "truncated-p2": eye + ak + ak @ ak,
+    }
+
+
+_OPERATOR_BUILDS = {
+    "tp": build_tp,
+    "vanilla": build_vanilla,
+    "truncated-p2": lambda grams, alpha: build_truncated(grams, alpha, 2),
+}
 
 
 def suite_cross_kernel(seed: int = 0, inject_fault: str | None = None) -> CheckResult:
@@ -546,12 +567,15 @@ def suite_cross_kernel(seed: int = 0, inject_fault: str | None = None) -> CheckR
     kernels and ``kernels.linear_window_eval`` for the window, relative to
     the sums of absolute products, |K| |V| and |K_QG| |Y|.
 
-    The same instances, with a negative alpha, check the tp encode and
-    decode ops, which apply the per-axis resolvents R_j to the cross-kernel
-    factors: R K_GP V and K_QG R Y against the dense
-    R = kron((I - alpha K_1)^-1, ..., (I - alpha K_d)^-1) over Grams built
-    entry by entry, relative to |R| |K| |V| and |K_QG| |R| |Y|. The
-    ``tp-factors-unrotated`` fault fails this check alone.
+    The same instances, with a negative alpha, check the encode and decode
+    ops of tp, vanilla and the truncated sum of order 2, one body over each
+    operator's factor maps and grid map: R K_GP V and K_QG R Y against
+    dense operators over Grams built entry by entry, relative to
+    |R| |K| |V| and |K_QG| |R| |Y|. The dense R is
+    kron((I - alpha K_1)^-1, ..., (I - alpha K_d)^-1) for tp,
+    ``np.linalg.inv`` of I - alpha K with K from ``kron_materialize`` for
+    vanilla, and the explicit partial sum I + alpha K + (alpha K)^2 for
+    truncated. The ``tp-factors-unrotated`` fault fails this check alone.
     """
     rng = Rng64(seed ^ 0xC5)
     worst = 0.0
@@ -570,10 +594,7 @@ def suite_cross_kernel(seed: int = 0, inject_fault: str | None = None) -> CheckR
                 idx = alpha_indices(cfg, pv)
                 pv.values[idx] = -np.abs(pv.values[idx])
             alpha = window.alpha if window else decode_kernel_params(cfg, pv).branches[0].alpha
-            r_dense = kron_materialize([
-                np.linalg.inv(np.eye(k.shape[0]) - alpha * k)
-                for k in _dense_axis_grams(cfg, pv, grid)
-            ])
+            dense_ops = _dense_operators(_dense_axis_grams(cfg, pv, grid), alpha)
             graph = _np_graph(cfg, pv)
             for batch, n in ((1, 0), (3, 0), (1, 1 + rng.integer(7)), (3, 1 + rng.integer(7))):
                 pts = rng.uniform_array((batch * n, dim), -1.0, 1.0)
@@ -582,16 +603,21 @@ def suite_cross_kernel(seed: int = 0, inject_fault: str | None = None) -> CheckR
                 cross = KhatriRaoCross([f.data for f in graph.cross_factors(0, pts)], batch)
                 kgp_v = cross.grid_sum(v).reshape(m, batch, 2)
                 kqg_y = cross.point_sum(y).reshape(batch, n, 2)
-                tp_enc, tp_dec = _tp_contractions(graph, batch, pts, v, y, inject_fault)
+                ops = {
+                    name: _op_contractions(graph, build, batch, pts, v, y, inject_fault)
+                    for name, build in _OPERATOR_BUILDS.items()
+                }
                 for s in range(batch):
                     block = slice(s * n, (s + 1) * n)
                     k = _dense_cross(cfg, pv, grid, pts[block])
-                    cases = (
+                    cases = [
                         ("", kgp_v[:, s], [k], v[block]),
                         ("", kqg_y[s], [k.T], y[:, s]),
-                        ("tp encode ", tp_enc[:, s], [r_dense, k], v[block]),
-                        ("tp decode ", tp_dec[s], [k.T, r_dense], y[:, s]),
-                    )
+                    ]
+                    for name, (enc, dec) in ops.items():
+                        r_dense = dense_ops[name]
+                        cases.append((f"{name} encode ", enc[:, s], [r_dense, k], v[block]))
+                        cases.append((f"{name} decode ", dec[s], [k.T, r_dense], y[:, s]))
                     for label, fast, mats, x in cases:
                         ref, scale = x, np.abs(x)
                         for a in reversed(mats):

@@ -22,7 +22,7 @@ from ikno.autodiff import Tensor, custom_op
 from ikno import model, ops_ad
 from ikno.ops_ad import KhatriRaoCross, _spectral_grads, axis_kernel_ad
 from ikno.ops_ad import resolvent_decode_ad, resolvent_encode_ad
-from ikno.resolvent import apply_resolvent, build_tp, build_vanilla
+from ikno.resolvent import apply_resolvent, build_tp, build_truncated, build_vanilla
 from ikno.kernels import AxisKernelParams, axis_gram, grid_linspace
 from ikno.tensor_linalg import kron_materialize
 from ikno.training import grad_analytic, grad_fd, loss_and_grad
@@ -266,6 +266,10 @@ def dense_decode_ad(r, factors, v, grams, alpha, batch):
     return custom_op([*factors, v, *grams, alpha], out, backward)
 
 
+def _build_truncated_p2(grams, alpha):
+    return build_truncated(grams, alpha, 2)
+
+
 class TestCrossKernel:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 5])
@@ -301,13 +305,16 @@ class TestCrossKernel:
     @pytest.mark.parametrize(
         "op,build",
         [(resolvent_encode_ad, build_vanilla), (resolvent_decode_ad, build_vanilla),
-         (resolvent_encode_ad, build_tp), (resolvent_decode_ad, build_tp)],
-        ids=["encode", "decode", "tp-encode", "tp-decode"],
+         (resolvent_encode_ad, build_tp), (resolvent_decode_ad, build_tp),
+         (resolvent_encode_ad, _build_truncated_p2), (resolvent_decode_ad, _build_truncated_p2)],
+        ids=["encode", "decode", "tp-encode", "tp-decode", "truncated-p2-encode",
+             "truncated-p2-decode"],
     )
     def test_ops_form_no_cross_kernel(self, op, build):
         """At d=2, L=32, n=4096 the (M, n) cross kernel is 32 MiB; neither op,
-        forward or backward, allocates that much at its peak, on the
-        eigen-grid path (vanilla) or the per-axis resolvent path (tp)."""
+        forward or backward, allocates that much at its peak, with the
+        eigen-grid maps (vanilla, and truncated, whose pair sides are extra
+        eigen-grid tensors in the backward pass) or tp's per-axis resolvents."""
         grid_l, n, h = 32, 4096, 2
         rng = np.random.default_rng(23)
         pts = np.linspace(-1, 1, grid_l)

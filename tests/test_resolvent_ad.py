@@ -11,11 +11,13 @@ Gram is perturbed symmetrically and checked through K_bar + K_bar^T.
 """
 
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from ikno.autodiff import Tensor
+from ikno import ops_ad
+from ikno.autodiff import Tensor, custom_op
 from ikno.kernels import AxisKernelParams, axis_gram
 from ikno.ops_ad import _spectral_grads, resolvent_decode_ad, resolvent_encode_ad
 from ikno.resolvent import build_tp, build_truncated, build_vanilla
@@ -180,6 +182,49 @@ def test_empty_cloud(variant, direction):
     assert all(a.shape[1] == 0 for a in a_bars)
     assert all(not kb.any() for kb in k_bars)
     assert (v_bar.shape == (0, CHANNELS)) if direction == "encode" else not v_bar.any()
+
+
+GRAD_GROUPS = ("factors", "v", "grams-alpha")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("direction", sorted(OPS))
+@pytest.mark.parametrize("variant", ["vanilla", "tp", "truncated-p0", "truncated-p2"])
+def test_gradient_subsets_match_all_inputs(variant, direction, d, monkeypatch):
+    """Each non-empty subset of {factors, v, Grams and alpha} needing a
+    gradient: the op's VJP returns exactly the all-inputs gradients for
+    the inputs in the subset and None for the others, so the steps it skips
+    change no bit of what it returns."""
+    grams, factors, v, g = make_case(7 * d, d, direction, n=3, batch=2)
+    r = BUILDS[variant](grams, stable_alpha(grams, "negative"))
+    backwards = []
+
+    def capture(inputs, out, backward):
+        backwards.append(backward)
+        return custom_op(inputs, out, backward)
+
+    monkeypatch.setattr(ops_ad, "custom_op", capture)
+
+    def vjp(groups):
+        need = {name: name in groups for name in GRAD_GROUPS}
+        inputs = [
+            [Tensor(a, requires_grad=need["factors"]) for a in factors],
+            [Tensor(v, requires_grad=need["v"])],
+            [Tensor(k, requires_grad=need["grams-alpha"]) for k in grams],
+            [Tensor(np.array(r.alpha), requires_grad=need["grams-alpha"])],
+        ]
+        f_t, (v_t,), k_t, (a_t,) = inputs
+        OPS[direction](r, f_t, v_t, k_t, a_t, 2)
+        return backwards[-1](g), [t.requires_grad for group in inputs for t in group]
+
+    full, _ = vjp(GRAD_GROUPS)
+    assert all(grad is not None for grad in full)
+    for size in (1, 2, 3):
+        for groups in combinations(GRAD_GROUPS, size):
+            grads, needed = vjp(groups)
+            assert len(grads) == len(full)
+            for want, got, need in zip(full, grads, needed):
+                assert np.array_equal(got, want) if need else got is None, groups
 
 
 def test_spectral_grads_copy_no_grid_tensor():
