@@ -133,11 +133,11 @@ def axis_kernel_ad(theta: Tensor, dx: np.ndarray) -> Tensor:
     c = np.exp(logc)
     out = c * (gauss + lap)
 
-    def backward(g):
+    def backward(g):  # numpy's own sums: a BLAS dot splits across threads
         return [np.array([
-            np.vdot(g, out),
-            -2.0 * beta * c * np.vdot(g, gauss * (dx * dx)),
-            -np.sign(gamma) * c * np.vdot(g, lap * absd),
+            np.einsum("ij,ij->", g, out),
+            -2.0 * beta * c * np.einsum("ij,ij->", g, gauss * (dx * dx)),
+            -np.sign(gamma) * c * np.einsum("ij,ij->", g, lap * absd),
         ])]
 
     return custom_op([theta], out, backward)

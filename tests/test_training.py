@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -403,6 +406,42 @@ class TestTrainLoop:
         assert opt == OptimizerConfig(total_steps=1000)
         # the schedule still spans the run's own step budget
         assert hist[-1]["lr"] == ikno.training._cosine_lr(OptimizerConfig(total_steps=3), 2)
+
+
+# One loss_and_grad per variant at d=2, L=32, batch 4 of 256-point clouds,
+# 3 branches, mlp: the cross-kernel factors are 32 x 1024, long enough that
+# OpenBLAS splits a level-1 BLAS reduction over them across threads.
+_THREAD_RUN = """
+import sys
+import numpy as np
+from ikno.kernels import PointCloud
+from ikno.model import ModelConfig, init_params
+from ikno.training import loss_and_grad
+out = {}
+for variant in ("vanilla", "tp", "truncated"):
+    cfg = ModelConfig(dim=2, grid_l=32, hidden=16, branches=3, processor="mlp",
+                      variant=variant, truncation_order=2)
+    rng = np.random.default_rng(1)
+    batch = [(PointCloud(rng.uniform(-1, 1, (256, 2)), channels=rng.uniform(-1, 1, (256, 1))),
+              PointCloud(rng.uniform(-1, 1, (256, 2))), rng.uniform(-1, 1, (256, 1)))
+             for _ in range(4)]
+    loss, grad = loss_and_grad(cfg, init_params(cfg, 0), batch)
+    out[variant] = np.append(grad, loss)
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_loss_and_grad_bit_identical_across_blas_thread_counts(tmp_path):
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env.pop("IKNO_THREADS", None)
+        path = tmp_path / f"threads{threads}.npz"
+        subprocess.run([sys.executable, "-c", _THREAD_RUN, str(path)], env=env, check=True)
+        runs.append(np.load(path))
+    for variant in ("vanilla", "tp", "truncated"):
+        assert np.array_equal(runs[0][variant], runs[1][variant]), variant
 
 
 class TestRunTraining:
