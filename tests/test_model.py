@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -266,10 +267,6 @@ def dense_decode_ad(r, factors, v, grams, alpha, batch):
     return custom_op([*factors, v, *grams, alpha], out, backward)
 
 
-def _build_truncated_p2(grams, alpha):
-    return build_truncated(grams, alpha, 2)
-
-
 class TestCrossKernel:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 5])
@@ -306,7 +303,8 @@ class TestCrossKernel:
         "op,build",
         [(resolvent_encode_ad, build_vanilla), (resolvent_decode_ad, build_vanilla),
          (resolvent_encode_ad, build_tp), (resolvent_decode_ad, build_tp),
-         (resolvent_encode_ad, _build_truncated_p2), (resolvent_decode_ad, _build_truncated_p2)],
+         (resolvent_encode_ad, partial(build_truncated, order=2)),
+         (resolvent_decode_ad, partial(build_truncated, order=2))],
         ids=["encode", "decode", "tp-encode", "tp-decode", "truncated-p2-encode",
              "truncated-p2-decode"],
     )
